@@ -16,14 +16,31 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static hygiene: go vet plus a repo-wide gofmt check (fails listing any
-# file that gofmt would rewrite).
+# Static hygiene: go vet, a repo-wide gofmt check (fails listing any file
+# that gofmt would rewrite), and a fused-multiply-add guard. arm64 (like
+# ppc64 and s390x) may fuse x*y+z into one FMA instruction, which rounds
+# once instead of twice and would break the bit-identical distances and
+# labels the amd64 baselines pin; an explicit float64(x*y) conversion
+# forbids the fusion. The guard disassembles the arm64 archive of
+# internal/core (objdump, not -gcflags=-S, which a cached build would skip)
+# and fails on any fused instruction, listing its source lines.
 lint: vet
 	@fmt=$$(gofmt -l .); \
 	if [ -n "$$fmt" ]; then \
 		echo "lint: gofmt needed on:"; echo "$$fmt"; exit 1; \
 	fi; \
 	echo "lint: gofmt clean"
+	@tmp=$$(mktemp /tmp/core-arm64.XXXXXX.a); \
+	dis=$$(GOARCH=arm64 $(GO) build -o $$tmp ./internal/core && $(GO) tool objdump $$tmp); \
+	st=$$?; rm -f $$tmp; \
+	if [ $$st -ne 0 ] || [ -z "$$dis" ]; then \
+		echo "lint: could not disassemble the arm64 build of internal/core"; exit 1; \
+	fi; \
+	fused=$$(echo "$$dis" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
+	if [ -n "$$fused" ]; then \
+		echo "lint: fused multiply-add in the arm64 build of internal/core:"; echo "$$fused"; exit 1; \
+	fi; \
+	echo "lint: no fused multiply-add in arm64 internal/core"
 
 race: test-race
 
@@ -64,9 +81,9 @@ cover:
 
 # The distance-kernel suite: block materialization vs the naive build,
 # LOCALSEARCH row fast path vs generic, the incremental LOCALSEARCH kernel
-# vs the reference sweep, BestOf racing, and the label-kernel sampling
-# assignment vs the probing reference (see docs/PERFORMANCE.md for how
-# to read the numbers).
+# vs the reference sweep, BestOf racing, and the label-kernel assignment
+# pass vs the test-side probing reference on one sample state (see
+# docs/PERFORMANCE.md for how to read the numbers).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchmem ./internal/core/
 
@@ -114,7 +131,8 @@ bench-huge:
 fuzz-localsearch:
 	$(GO) test -run FuzzLocalSearchIncremental -fuzz FuzzLocalSearchIncremental -fuzztime 30s ./internal/corrclust/
 
-# Fuzz the columnar label kernel's DistRowTo against Problem.Dist.
+# Fuzz the columnar label kernel's Dist and DistRowTo against the
+# test-side probeDist oracle (a plain per-clustering walk over the labels).
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 

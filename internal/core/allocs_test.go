@@ -19,7 +19,7 @@ func pinAllocs(t *testing.T, name string, want float64, f func()) {
 
 // TestAssignScratchAllocs pins the buffer-pooling satellite: the pooled
 // per-worker scratch (pool.go) reaches a zero-allocation steady state, so
-// the assignment hot loops in assignStripe/assignChunk cost no per-stripe
+// the assignment hot loop in assignChunk costs no per-stripe
 // garbage once the pool is warm.
 func TestAssignScratchAllocs(t *testing.T) {
 	// Warm the pool past the sizes the loop below requests.

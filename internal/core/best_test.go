@@ -12,7 +12,7 @@ import (
 func slowBest(p *Problem) (partition.Labels, int, float64) {
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
-	for i, c := range p.clusterings {
+	for i, c := range p.Clusterings() {
 		cand := completeMissing(c)
 		d := p.Disagreement(cand)
 		if bestIdx == -1 || d < bestD {
@@ -57,8 +57,8 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 		}
 		// Indices may differ only on exact ties.
 		if fastI != slowI {
-			dFast := p.Disagreement(p.clusterings[fastI].Normalize())
-			dSlow := p.Disagreement(p.clusterings[slowI].Normalize())
+			dFast := p.Disagreement(p.Clusterings()[fastI].Normalize())
+			dSlow := p.Disagreement(p.Clusterings()[slowI].Normalize())
 			if math.Abs(dFast-dSlow) > 1e-6 {
 				t.Fatalf("trial %d: fast picked %d (%v), slow %d (%v)", trial, fastI, dFast, slowI, dSlow)
 			}

@@ -52,26 +52,27 @@ const (
 
 // Problem is a clustering-aggregation instance: m input clusterings over n
 // objects. It implements corrclust.Instance, so it can be fed directly to
-// any correlation-clustering algorithm. Construct with NewProblem.
+// any correlation-clustering algorithm. Construct with NewProblem (from
+// []Labels) or NewProblemPacked (from a packed label block); both hold the
+// inputs the same way, as one width-packed block.
 type Problem struct {
 	n           int
-	clusterings []partition.Labels
 	missingP    float64
 	missingMode MissingMode
 	weights     []float64 // nil means uniform
 	totalWeight float64
 
-	// packed, when non-nil, holds the inputs as a width-packed label block
-	// instead of clusterings (exactly one of the two is set — see
-	// NewProblemPacked). The kernel path aliases it zero-copy; []int views
-	// are unpacked lazily into unpacked for the few paths that need them.
+	// packed holds the inputs as a width-packed label block. The kernel
+	// aliases it zero-copy; the few paths that need per-clustering []int
+	// views read unpacked, which NewProblem seeds with the caller's own
+	// slices and NewProblemPacked problems unpack lazily, once.
 	packed     *PackedClusterings
 	unpackOnce sync.Once
 	unpacked   []partition.Labels
 
 	// kernelOnce caches the auto-width label kernel: every Problem builds it
-	// at most once, so repeated Disagreement/LowerBound/Sample calls (and
-	// the Dist delegation of packed problems) stop re-packing O(n·m) labels.
+	// at most once, so repeated Dist/Disagreement/LowerBound/Sample calls
+	// share one set of premultiplied weights over the packed block.
 	kernelOnce   sync.Once
 	kernelCached *labelKernel
 }
@@ -96,7 +97,11 @@ type ProblemOptions struct {
 var ErrNoClusterings = errors.New("core: no input clusterings")
 
 // NewProblem validates the inputs and builds an aggregation problem. All
-// clusterings must have the same length and contain only valid labels.
+// clusterings must have the same length and contain only valid labels
+// (non-negative and below math.MaxInt32, or partition.Missing). The labels
+// are packed into the same block NewProblemPacked takes; Clusterings and the
+// []int-reading paths keep using the caller's slices, so callers must not
+// modify them afterwards.
 func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, error) {
 	if len(clusterings) == 0 {
 		return nil, ErrNoClusterings
@@ -111,12 +116,21 @@ func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, 
 			return nil, fmt.Errorf("core: clustering %d: %w", i, err)
 		}
 	}
-	prob, err := problemOptionsOf(len(clusterings), opts)
+	b := NewPackedColumns(n, len(clusterings))
+	for _, c := range clusterings {
+		if err := b.AppendColumn(c); err != nil {
+			return nil, err
+		}
+	}
+	pc, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	prob.n = n
-	prob.clusterings = clusterings
+	prob, err := NewProblemPacked(pc, opts)
+	if err != nil {
+		return nil, err
+	}
+	prob.unpackOnce.Do(func() { prob.unpacked = clusterings })
 	return prob, nil
 }
 
@@ -169,85 +183,33 @@ func (p *Problem) weight(i int) float64 {
 func (p *Problem) N() int { return p.n }
 
 // M returns the number of input clusterings.
-func (p *Problem) M() int {
-	if p.packed != nil {
-		return p.packed.m
-	}
-	return len(p.clusterings)
-}
+func (p *Problem) M() int { return p.packed.m }
 
 // labelViews returns per-clustering []int label views of the inputs: the
-// clusterings themselves when the problem holds them unpacked, or a
-// lazily-unpacked (once, cached) materialization of the packed block. The
-// kernel path never calls this; only the contingency-table BestClustering,
-// matrix materialization of small subproblems, and Clusterings() do.
+// caller's slices on a NewProblem problem, otherwise a lazily-unpacked
+// (once, cached) materialization of the packed block. The kernel path never
+// calls this; only the contingency-table BestClustering, matrix
+// materialization, and Clusterings() do.
 func (p *Problem) labelViews() []partition.Labels {
-	if p.packed == nil {
-		return p.clusterings
-	}
 	p.unpackOnce.Do(func() { p.unpacked = p.packed.unpackAll() })
 	return p.unpacked
 }
 
 // Clusterings returns the input clusterings (not a copy; callers must not
-// modify them). On a packed problem this materializes []int views of the
-// label block, allocated once per Problem.
+// modify them). On a NewProblem problem these are the caller's own slices;
+// on a NewProblemPacked problem this materializes []int views of the label
+// block, allocated once per Problem.
 func (p *Problem) Clusterings() []partition.Labels { return p.labelViews() }
 
 // Dist returns X_uv: the (expected) fraction of input clusterings that place
-// u and v in different clusters. Dist satisfies corrclust.Instance and obeys
-// the triangle inequality.
-func (p *Problem) Dist(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	if p.packed != nil {
-		// The kernel's pair evaluation is bit-identical to the loops below
-		// and reads the packed labels in place.
-		return p.kernel().Dist(u, v)
-	}
-	if p.missingMode == MissingAverage {
-		return p.distAverage(u, v)
-	}
-	var x float64
-	for i, c := range p.clusterings {
-		lu, lv := c[u], c[v]
-		switch {
-		case lu == partition.Missing || lv == partition.Missing:
-			x += (1 - p.missingP) * p.weight(i)
-		case lu != lv:
-			x += p.weight(i)
-		}
-	}
-	return x / p.totalWeight
-}
-
-// distAverage is Dist under MissingAverage: only clusterings with values on
-// both objects vote; a pair with no votes at all is maximally uncertain
-// (distance 1/2).
-//
-// Note that unlike the coin model, the averaged distances need not obey the
-// triangle inequality (different pairs average over different clusterings),
-// so the BALLS approximation guarantee does not formally carry over; the
-// algorithms still apply as heuristics.
-func (p *Problem) distAverage(u, v int) float64 {
-	var x, votes float64
-	for i, c := range p.clusterings {
-		lu, lv := c[u], c[v]
-		if lu == partition.Missing || lv == partition.Missing {
-			continue
-		}
-		w := p.weight(i)
-		votes += w
-		if lu != lv {
-			x += w
-		}
-	}
-	if votes == 0 {
-		return 0.5
-	}
-	return x / votes
-}
+// u and v in different clusters, evaluated by the label kernel over the
+// packed block. Dist satisfies corrclust.Instance and, under MissingCoin,
+// obeys the triangle inequality. Under MissingAverage only clusterings with
+// values on both objects vote, and a pair with no votes gets 1/2; those
+// distances need not obey the triangle inequality (different pairs average
+// over different clusterings), so the BALLS guarantee does not formally
+// carry over and the algorithms apply as heuristics.
+func (p *Problem) Dist(u, v int) float64 { return p.kernel().Dist(u, v) }
 
 // Disagreement returns the (expected) total number of unordered-pair
 // disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
@@ -337,21 +299,9 @@ func (p *Problem) bestClustering(rec *obs.Recorder, workers int) (labels partiti
 // fastBestApplicable reports whether the contingency-table shortcut computes
 // exactly the same objective as the pairwise scan: no missing values (the
 // coin model's expected disagreements have no contingency analogue).
-// Weights are fine — they scale each pairwise distance.
-func (p *Problem) fastBestApplicable() bool {
-	if p.packed != nil {
-		// The builder tracked missing labels exactly; no scan needed.
-		return !p.packed.anyMiss
-	}
-	for _, c := range p.clusterings {
-		for _, l := range c {
-			if l == partition.Missing {
-				return false
-			}
-		}
-	}
-	return true
-}
+// Weights are fine — they scale each pairwise distance. The packing tracked
+// missing labels exactly, so no scan is needed.
+func (p *Problem) fastBestApplicable() bool { return !p.packed.anyMiss }
 
 // bestClusteringFast evaluates D(C_i) = Σ_j w_j·d_V(C_j, C_i) with Mirkin
 // distances from contingency tables. The distance table is symmetric, so
@@ -413,7 +363,10 @@ func (p *Problem) bestClusteringFast(workers int) (partition.Labels, int, float6
 			if i == j {
 				continue
 			}
-			d += p.weight(j) * float64(dist[i*m+j])
+			// The explicit float64 rounds the product before the add, which
+			// forbids a fused multiply-add (arm64, ppc64, s390x) and keeps
+			// the sum identical on every GOARCH.
+			d += float64(p.weight(j) * float64(dist[i*m+j]))
 		}
 		if bestIdx == -1 || d < bestD {
 			bestIdx, bestD = i, d

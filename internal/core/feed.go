@@ -291,9 +291,8 @@ func (f *SampleFeed) Finish() (partition.Labels, error) {
 	var repLabels partition.Labels
 	if len(reps) > reclusterCap {
 		repLabels, err = repProblem.Sample(f.method, f.aggOpts, SamplingOptions{
-			Rand:            repRng,
-			ReferenceAssign: f.sOpts.ReferenceAssign,
-			Shards:          1,
+			Rand:   repRng,
+			Shards: 1,
 		})
 	} else {
 		repLabels, err = repProblem.Aggregate(f.method, withMaterialize(f.aggOpts))

@@ -1,30 +1,29 @@
 package core
 
-import (
-	"clusteragg/internal/partition"
-)
-
 // This file is the columnar label kernel: the m input clusterings packed
 // into one row-major per-object block of labels, so that distance
 // evaluation becomes a tight contiguous label-compare loop instead of a
-// per-pair interface probe through a slice of slices.
+// per-pair walk over a slice of slices. It is the one production
+// implementation of the Section 3 distance X_uv: Problem.Dist,
+// Disagreement, LowerBound, the non-materialized methods and SAMPLING's
+// assignment all read it.
 //
-// Problem.Dist walks p.clusterings — m separate []int slices — with a
-// branchy switch per clustering, behind a corrclust.Instance interface call
-// per pair. The kernel stores object v's labels as lab[v*m : v*m+m],
-// per-clustering weights and the coin-model missing contribution
-// premultiplied, and a per-object has-missing flag. One-against-many
-// evaluation (DistRowTo) then streams two contiguous label blocks per pair;
-// pairs where neither side has a missing label and the weights are uniform
-// collapse to an integer label-mismatch count. Every loop performs the same
-// float operations in the same order as Problem.Dist (premultiplied
-// products round identically to the inline ones), so kernel distances are
-// bit-identical to Dist's — not merely close — which the equivalence tests
-// and FuzzLabelKernelEquiv pin exactly.
+// The kernel aliases the Problem's packed block (packed.go), which stores
+// object v's labels as lab[v*m : v*m+m], and adds the per-clustering
+// weights and coin-model missing contribution premultiplied; the block
+// carries a per-object has-missing flag. One-against-many evaluation
+// (DistRowTo) streams two contiguous label blocks per pair; pairs where
+// neither side has a missing label and the weights are uniform collapse to
+// an integer label-mismatch count. Every loop performs the same float
+// operations in the same order as a plain per-clustering walk over the
+// []int labels (premultiplied products round identically to inline ones),
+// so kernel distances are bit-identical to that walk — not merely close.
+// The walk lives in the tests as the oracle probeDist, and the equivalence
+// tests and FuzzLabelKernelEquiv pin the kernel against it exactly.
 //
 // Width packing: labels are stored at the minimum width that fits the
-// kernel's label bound — uint8, uint16, or int32 — selected once at build
-// time from the same bound scan that sizes the co-label histograms. The
+// label bound — uint8, uint16, or int32 — selected by the packing builder
+// from the same per-clustering bounds that size the co-label histograms. The
 // working assumption (and the common case by far) is k ≤ 256 clusters per
 // input clustering: then every label block packs to one byte per
 // clustering, quartering the memory traffic of the O(n·m) assignment scan
@@ -81,8 +80,8 @@ func widthFor(bound int32) int {
 
 // labelKernel is the packed columnar view of a Problem's input clusterings.
 // It implements corrclust.Instance and corrclust.RowDistancer; distances
-// are bit-identical to Problem.Dist at every storage width. The kernel is
-// immutable after construction and safe for concurrent use.
+// are bit-identical at every storage width. The kernel is immutable after
+// construction and safe for concurrent use.
 type labelKernel struct {
 	n, m int
 	// width is the storage width in bytes per label (width8/width16/width32);
@@ -94,8 +93,8 @@ type labelKernel struct {
 	lab16 []uint16
 	lab32 []int32
 	// maxLab[i] is the exclusive upper bound on clustering i's present
-	// labels (0 when every label is missing), computed by the build's single
-	// bound scan and reused both for width selection and as the co-label
+	// labels (0 when every label is missing), tracked by the packing
+	// builder alongside width selection and reused as the co-label
 	// histograms' default label bound (see buildColabelHist).
 	maxLab []int32
 	// w[i] is clustering i's weight (all 1 under uniform weights); missW[i]
@@ -109,111 +108,22 @@ type labelKernel struct {
 	anyMiss bool
 	uniform bool
 
-	average     bool // MissingAverage arithmetic (mirrors Problem.distAverage)
+	average     bool // MissingAverage arithmetic
 	totalWeight float64
 }
 
-// kernel returns the problem's labelKernel at the minimum width, built at
-// most once per Problem (cached under kernelOnce): evaluate + sample +
-// lower-bound sequences stop paying the O(n·m) pack repeatedly, and packed
-// problems alias their ingest block with no pack at all.
+// kernel returns the problem's labelKernel at the packed block's width,
+// built at most once per Problem (cached under kernelOnce): evaluate +
+// sample + lower-bound sequences share one zero-copy alias of the block.
 func (p *Problem) kernel() *labelKernel {
-	p.kernelOnce.Do(func() { p.kernelCached = p.buildLabelKernel(0) })
+	p.kernelOnce.Do(func() { p.kernelCached = p.packed.kernelFrom(p, 0) })
 	return p.kernelCached
-}
-
-// kernelWidth is kernel with an explicit width override in bytes (0 = auto
-// minimum, served from the cache). Forcing a width narrower than the label
-// bound allows is rejected by panic; tests use wider-than-minimum kernels
-// to pin the widths bit-identical against each other, and forced builds
-// bypass the cache so they never leak into the auto path.
-func (p *Problem) kernelWidth(force int) *labelKernel {
-	if force == 0 {
-		return p.kernel()
-	}
-	return p.buildLabelKernel(force)
-}
-
-// buildLabelKernel constructs the kernel: zero-copy from the packed ingest
-// block when the problem is packed, otherwise a fresh O(n·m) pack of the
-// []int clusterings.
-func (p *Problem) buildLabelKernel(force int) *labelKernel {
-	if p.packed != nil {
-		return p.packed.kernelFrom(p, force)
-	}
-	n, m := p.n, len(p.clusterings)
-	lk := &labelKernel{
-		n:           n,
-		m:           m,
-		maxLab:      make([]int32, m),
-		w:           make([]float64, m),
-		missW:       make([]float64, m),
-		hasMiss:     make([]bool, n),
-		uniform:     p.weights == nil,
-		average:     p.missingMode == MissingAverage,
-		totalWeight: p.totalWeight,
-	}
-	// Single bound scan: per-clustering label bounds (for width selection
-	// here and the co-label histograms later) and the missing flags, before
-	// any labels are packed.
-	var bound int32
-	for i, c := range p.clusterings {
-		wi := p.weight(i)
-		lk.w[i] = wi
-		lk.missW[i] = (1 - p.missingP) * wi
-		var bi int32
-		for v, l := range c {
-			if l == partition.Missing {
-				lk.hasMiss[v] = true
-				lk.anyMiss = true
-			} else if l32 := int32(l); l32 >= bi {
-				bi = l32 + 1
-			}
-		}
-		lk.maxLab[i] = bi
-		if bi > bound {
-			bound = bi
-		}
-	}
-	lk.width = widthFor(bound)
-	if force != 0 {
-		if force < lk.width {
-			panic("core: forced kernel width below the label bound")
-		}
-		lk.width = force
-	}
-	switch lk.width {
-	case width8:
-		lk.lab8 = packLabels[uint8](p, n, m)
-	case width16:
-		lk.lab16 = packLabels[uint16](p, n, m)
-	default:
-		lk.lab32 = packLabels[int32](p, n, m)
-	}
-	return lk
-}
-
-// packLabels fills the row-major label block at width W, mapping missing
-// labels to the width's sentinel.
-func packLabels[W labelWord](p *Problem, n, m int) []W {
-	lab := make([]W, n*m)
-	miss := missingWord[W]()
-	for i, c := range p.clusterings {
-		for v, l := range c {
-			if l == partition.Missing {
-				lab[v*m+i] = miss
-			} else {
-				lab[v*m+i] = W(l)
-			}
-		}
-	}
-	return lab
 }
 
 // N returns the number of objects.
 func (lk *labelKernel) N() int { return lk.n }
 
-// Dist returns the distance X_uv, bit-identical to Problem.Dist.
+// Dist returns the distance X_uv.
 func (lk *labelKernel) Dist(u, v int) float64 {
 	if u == v {
 		return 0
@@ -233,15 +143,15 @@ func (lk *labelKernel) Dist(u, v int) float64 {
 // pairDist evaluates one pair from its label blocks, generic over the
 // storage width. miss gates the missing-label arithmetic: clean pairs take
 // label-compare-only loops (an integer count under uniform weights), and
-// either loop performs exactly the additions Problem.Dist would, in the
-// same order — the width never touches a float, so all widths agree bit
+// either loop performs exactly the additions of a per-clustering walk, in
+// the same order — the width never touches a float, so all widths agree bit
 // for bit.
 func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
 	if !miss {
 		// No missing labels on either side: both modes reduce to the
-		// weighted separating fraction over the total weight (distAverage's
-		// vote accumulation sums all weights in index order, which is
-		// exactly how NewProblem computed totalWeight).
+		// weighted separating fraction over the total weight (the average
+		// mode's vote accumulation sums all weights in index order, which
+		// is exactly how the constructors computed totalWeight).
 		if lk.uniform {
 			cnt := 0
 			for i, lu := range bu {
@@ -322,7 +232,7 @@ func distRowTo[W labelWord](lk *labelKernel, lab []W, v int, targets []int, dst 
 
 // histBoundCap bounds the per-clustering label range the co-label
 // histograms size themselves by without rescanning the sample: when a
-// clustering's global label bound (from the kernel build's bound scan) is
+// clustering's global label bound (maxLab, tracked while packing) is
 // at most this, the histogram reuses it directly — under the k ≤ 256
 // assumption that is every clustering, and the cnt rows stay
 // cache-resident. A wider clustering (e.g. an all-singletons input) falls
@@ -346,9 +256,9 @@ const histBoundCap = 1024
 // where cnt_i[ℓ][c] counts C_c's members carrying label ℓ in clustering i;
 // an object missing in clustering i contributes missW_i·|C_c| = missAll[i][c].
 // Summing the per-clustering contributions and dividing once by the total
-// weight yields M(v, C_c) — the same per-clustering terms Problem.Dist
-// sums per pair, associated per clustering instead of per member, so the
-// histogram path is bit-identical to the probing path exactly where float
+// weight yields M(v, C_c) — the same per-clustering terms Dist sums per
+// pair, associated per clustering instead of per member, so the
+// histogram path is bit-identical to per-pair probing exactly where float
 // addition on those terms is exact (dyadic instances; see
 // docs/PERFORMANCE.md) and within float drift otherwise.
 //
@@ -374,12 +284,12 @@ type colabelHist struct {
 // buildColabelHist builds the histograms for the given sample clusters
 // (members holds original object indices per sample cluster) in
 // O(s·m + m·L·k) time and O(m·L·k) space, L the per-clustering label
-// bound. The bound comes for free from the kernel build's bound scan
-// (maxLab) for clusterings within histBoundCap; wider ones are tightened
-// to the sample-observed bound by one extra row-major pass over the
-// members. A label's absent histogram row is all zeros, so the larger
-// default bound changes no arithmetic — base − 0 and base are the same
-// float — and the paths stay bit-identical.
+// bound. The bound comes for free from the packing builder (maxLab) for
+// clusterings within histBoundCap; wider ones are tightened to the
+// sample-observed bound by one extra row-major pass over the members. A
+// label's absent histogram row is all zeros, so the larger default bound
+// changes no arithmetic — base − 0 and base are the same float — and the
+// paths stay bit-identical.
 func (lk *labelKernel) buildColabelHist(members [][]int) *colabelHist {
 	switch lk.width {
 	case width8:
@@ -464,7 +374,9 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 		missAll := make([]float64, k)
 		for c := range base {
 			pres := h.sizes[c] - miss[i*k+c]
-			base[c] = w*float64(pres) + missW*float64(miss[i*k+c])
+			// The explicit float64 conversions round each product before
+			// the add, forbidding a fused multiply-add on every GOARCH.
+			base[c] = float64(w*float64(pres)) + float64(missW*float64(miss[i*k+c]))
 			missAll[c] = missW * float64(h.sizes[c])
 		}
 		cnt := h.cnt[i]

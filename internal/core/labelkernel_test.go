@@ -50,11 +50,12 @@ func dyadicWeights(m int) []float64 {
 	}
 }
 
-// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo must
-// reproduce Problem.Dist bit for bit — not approximately — on every pair,
-// across both missing modes, weighted and uniform problems, and several
-// missing probabilities. The kernel mirrors Dist's float operations in
-// Dist's order, so this holds on arbitrary (non-dyadic) instances too.
+// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and so
+// Problem.Dist) must reproduce the probeDist oracle bit for bit — not
+// approximately — on every pair, across both missing modes, weighted and
+// uniform problems, and several missing probabilities. The kernel mirrors
+// the oracle's float operations in its order, so this holds on arbitrary
+// (non-dyadic) instances too.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for trial := 0; trial < 60; trial++ {
@@ -81,9 +82,12 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				want := p.Dist(u, v)
+				want := probeDist(p, u, v)
 				if got := lk.Dist(u, v); got != want {
-					t.Fatalf("trial %d: kernel Dist(%d,%d) = %v, Problem.Dist = %v", trial, u, v, got, want)
+					t.Fatalf("trial %d: kernel Dist(%d,%d) = %v, probeDist = %v", trial, u, v, got, want)
+				}
+				if got := p.Dist(u, v); got != want {
+					t.Fatalf("trial %d: Problem.Dist(%d,%d) = %v, probeDist = %v", trial, u, v, got, want)
 				}
 			}
 		}
@@ -94,7 +98,7 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		for v := 0; v < n; v++ {
 			lk.DistRowTo(v, targets, dst)
 			for j, u := range targets {
-				if want := p.Dist(v, u); dst[j] != want {
+				if want := probeDist(p, v, u); dst[j] != want {
 					t.Fatalf("trial %d: DistRowTo(%d)[%d->%d] = %v, want %v", trial, v, j, u, dst[j], want)
 				}
 			}
@@ -103,7 +107,7 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 }
 
 // TestColabelHistAffinities: the histogram evaluation of M(v, C_c) must
-// match the probing sum Σ_{u∈C_c} Dist(v,u) — exactly on dyadic instances,
+// match the probing sum Σ_{u∈C_c} probeDist(v,u) — exactly on dyadic instances,
 // to float-drift tolerance otherwise.
 func TestColabelHistAffinities(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
@@ -158,7 +162,7 @@ func TestColabelHistAffinities(t *testing.T) {
 			for c, mem := range members {
 				var want float64
 				for _, u := range mem {
-					want += p.Dist(v, u)
+					want += probeDist(p, v, u)
 				}
 				if dyadic {
 					if got[c] != want {
@@ -175,8 +179,8 @@ func TestColabelHistAffinities(t *testing.T) {
 // TestSampleKernelMatchesReferenceDyadic: on exact-arithmetic instances
 // (power-of-two total weight, dyadic missing probabilities — with missing
 // values, dyadic weights, both uniform and weighted) the histogram
-// assignment must reproduce the probing assignment's clustering bit for
-// bit, singleton recluster included.
+// assignment pass must reproduce the probing reference's labels bit for
+// bit on the same sample state.
 func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 20; trial++ {
@@ -189,18 +193,8 @@ func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 		p := randMixedProblem(t, rng, n, m, 0.25, opts)
 		s := 30 + rng.Intn(40)
 
-		want, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels, members := sampleState(t, p, MethodAgglomerative, s, int64(trial))
+		got, want := assignBoth(p, labels, members, 2)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (m=%d n=%d): kernel and reference assignments diverge at object %d: %d != %d",
@@ -225,18 +219,8 @@ func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 		}
 		p := randMixedProblem(t, rng, 200+rng.Intn(100), m, 0.3,
 			ProblemOptions{MissingMode: MissingAverage, Weights: w})
-		want, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-			SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-			SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels, members := sampleState(t, p, MethodBalls, 40, int64(trial))
+		got, want := assignBoth(p, labels, members, 2)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: average-mode kernel diverges from reference at %d", trial, i)
@@ -304,7 +288,7 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 			M := make([]float64, len(members))
 			for c, mem := range members {
 				for _, u := range mem {
-					M[c] += p.Dist(v, u)
+					M[c] += probeDist(p, v, u)
 				}
 				totalAway += float64(len(mem)) - M[c]
 			}
@@ -329,21 +313,19 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 }
 
 // TestSampleAssignCounters pins the kernel path's counter contract: the
-// bulk sample.assign.dist_probes charge equals the probe count of the
-// reference path, kernel_cols records the packed objects, and hist_builds
-// the per-clustering histogram builds (zero on the MissingAverage row
-// route).
+// bulk sample.assign.dist_probes charge equals the (n−s)·s object/member
+// pairs the probing reference evaluates, kernel_cols records the packed
+// objects, and hist_builds the per-clustering histogram builds (zero on
+// the MissingAverage row route), and the assigned/fresh outcome counters
+// match the reference's on the same sample state.
 func TestSampleAssignCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
-	p := randMixedProblem(t, rng, 400, 8, 0.2, ProblemOptions{})
-	const s = 60
-
-	run := func(ref bool) map[string]int64 {
+	const n, s = 400, 60
+	run := func(p *Problem) map[string]int64 {
 		rec := obs.New()
 		_, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
 			SampleSize: s, Rand: rand.New(rand.NewSource(5)),
 			NoSingletonRecluster: true, // keep one assignment pass, no recursion
-			ReferenceAssign:      ref,
 			Recorder:             rec,
 		})
 		if err != nil {
@@ -351,43 +333,37 @@ func TestSampleAssignCounters(t *testing.T) {
 		}
 		return rec.Counters()
 	}
-	refC, kerC := run(true), run(false)
-	if refC["sample.assign.dist_probes"] != int64(400-s)*int64(s) {
-		t.Fatalf("reference probes = %d, want %d", refC["sample.assign.dist_probes"], int64(400-s)*int64(s))
+
+	p := randMixedProblem(t, rng, n, 8, 0.2, ProblemOptions{})
+	kerC := run(p)
+	if kerC["sample.assign.dist_probes"] != int64(n-s)*int64(s) {
+		t.Errorf("kernel bulk probes = %d, want %d", kerC["sample.assign.dist_probes"], int64(n-s)*int64(s))
 	}
-	if kerC["sample.assign.dist_probes"] != refC["sample.assign.dist_probes"] {
-		t.Errorf("kernel bulk probes = %d, reference counted %d",
-			kerC["sample.assign.dist_probes"], refC["sample.assign.dist_probes"])
-	}
-	if kerC["sample.assign.kernel_cols"] != 400 {
-		t.Errorf("kernel_cols = %d, want 400", kerC["sample.assign.kernel_cols"])
+	if kerC["sample.assign.kernel_cols"] != n {
+		t.Errorf("kernel_cols = %d, want %d", kerC["sample.assign.kernel_cols"], n)
 	}
 	if kerC["sample.assign.hist_builds"] != 8 {
 		t.Errorf("hist_builds = %d, want 8", kerC["sample.assign.hist_builds"])
 	}
-	if _, ok := refC["sample.assign.kernel_cols"]; ok {
-		t.Error("reference path registered kernel_cols")
+	labels, members := sampleState(t, p, MethodAgglomerative, s, 5)
+	assigned, fresh := assignReference(p, labels, members)
+	if kerC["sample.assigned"] != assigned || kerC["sample.fresh_singletons"] != fresh {
+		t.Errorf("kernel assigned/fresh = %d/%d, reference %d/%d",
+			kerC["sample.assigned"], kerC["sample.fresh_singletons"], assigned, fresh)
 	}
 
 	// MissingAverage with missing values takes the row route: histograms
 	// are registered at zero, probes still bulk-charged.
-	pAvg := randMixedProblem(t, rng, 400, 8, 0.2, ProblemOptions{MissingMode: MissingAverage})
-	rec := obs.New()
-	if _, err := pAvg.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-		SampleSize: s, Rand: rand.New(rand.NewSource(5)), NoSingletonRecluster: true, Recorder: rec,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	avgC := rec.Counters()
+	avgC := run(randMixedProblem(t, rng, n, 8, 0.2, ProblemOptions{MissingMode: MissingAverage}))
 	if avgC["sample.assign.hist_builds"] != 0 {
 		t.Errorf("average-mode hist_builds = %d, want 0", avgC["sample.assign.hist_builds"])
 	}
-	if avgC["sample.assign.dist_probes"] != int64(400-s)*int64(s) {
-		t.Errorf("average-mode probes = %d, want %d", avgC["sample.assign.dist_probes"], int64(400-s)*int64(s))
+	if avgC["sample.assign.dist_probes"] != int64(n-s)*int64(s) {
+		t.Errorf("average-mode probes = %d, want %d", avgC["sample.assign.dist_probes"], int64(n-s)*int64(s))
 	}
 }
 
-// FuzzLabelKernelEquiv drives DistRowTo against Problem.Dist on
+// FuzzLabelKernelEquiv drives DistRowTo and Dist against probeDist on
 // fuzzer-chosen instances — both missing modes, weighted and uniform,
 // arbitrary missing probabilities — requiring bit-for-bit equality.
 func FuzzLabelKernelEquiv(f *testing.F) {
@@ -421,13 +397,13 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		for v := 0; v < n; v++ {
 			lk.DistRowTo(v, targets, dst)
 			for j, u := range targets {
-				want := p.Dist(v, u)
+				want := probeDist(p, v, u)
 				if dst[j] != want {
-					t.Fatalf("DistRowTo(%d)[->%d] = %v, Problem.Dist = %v (n=%d m=%d mode=%d)",
+					t.Fatalf("DistRowTo(%d)[->%d] = %v, probeDist = %v (n=%d m=%d mode=%d)",
 						v, u, dst[j], want, n, m, opts.MissingMode)
 				}
 				if got := lk.Dist(v, u); got != want {
-					t.Fatalf("kernel Dist(%d,%d) = %v, Problem.Dist = %v", v, u, got, want)
+					t.Fatalf("kernel Dist(%d,%d) = %v, probeDist = %v", v, u, got, want)
 				}
 			}
 		}

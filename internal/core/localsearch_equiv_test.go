@@ -36,7 +36,7 @@ func TestLocalSearchIncrementalEquivalence(t *testing.T) {
 		cs := make([]partition.Labels, 4)
 		for i, seed := range []int64{21, 22, 23, 24} {
 			gp := genProblem(t, seed, 60, 1, 0, 0, MissingCoin, 0)
-			cs[i] = gp.clusterings[0]
+			cs[i] = gp.Clusterings()[0]
 		}
 		p, err := NewProblem(cs, ProblemOptions{Weights: []float64{0.5, 1, 0.5, 2}})
 		if err != nil {

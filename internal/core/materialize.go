@@ -53,9 +53,10 @@ type clusteringBlocks struct {
 }
 
 // blocksOf reshapes the input clusterings into per-cluster member lists and
-// missing sets. Packed problems unpack []int views first (cached on the
-// Problem) — materialization is only ever applied to small subproblems on
-// the sampling path, so the views stay proportional to the sample, not n.
+// missing sets. It reads the Problem's []int views: the caller's slices on
+// a NewProblem problem, otherwise unpacked once and cached — on the
+// sampling path materialization only ever applies to small subproblems, so
+// those views stay proportional to the sample, not n.
 func (p *Problem) blocksOf() []clusteringBlocks {
 	cs := p.labelViews()
 	blocks := make([]clusteringBlocks, len(cs))

@@ -126,8 +126,8 @@ func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 	p := genProblem(t, 7, 50, 4, 0.15, 0, MissingCoin, 0)
 	base := p.Matrix()
 
-	perm := make([]partition.Labels, len(p.clusterings))
-	for i, c := range p.clusterings {
+	perm := make([]partition.Labels, len(p.Clusterings()))
+	for i, c := range p.Clusterings() {
 		k := 0
 		for _, l := range c {
 			if l >= k {

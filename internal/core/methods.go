@@ -172,11 +172,9 @@ func (p *Problem) Aggregate(method Method, opts AggregateOptions) (labels partit
 			inst = p.materialize(rec, opts.Workers)
 			ms.End()
 		} else {
-			// Matrix-free runs probe through the columnar label kernel: the
-			// same distances, bit for bit, from contiguous label compares
-			// instead of Problem.Dist's slice-of-slices walk, with bulk row
-			// gathers where the algorithm's inner loop supports them (see
-			// corrclust.RowDistancer).
+			// Matrix-free runs probe the columnar label kernel directly,
+			// with bulk row gathers where the algorithm's inner loop
+			// supports them (see corrclust.RowDistancer).
 			k := p.kernel()
 			rec.Event("kernel.width", "bytes", k.width, "n", p.n, "m", p.M())
 			inst = k

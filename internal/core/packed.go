@@ -2,17 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"clusteragg/internal/partition"
 )
 
-// This file is the packed ingest side of the allocation diet: input
+// This file is the packed label block every Problem holds: input
 // clusterings stream directly into the width-packed row-major label block
 // the label kernel uses (labelkernel.go — uint8/uint16/int32, the width's
-// all-ones missing sentinel), so a Problem built from a PackedClusterings
-// never materializes []int labels on the kernel path. At m=6 clusterings of
-// ≤255 labels, that is 6 bytes per object instead of 48, and the kernel
-// build becomes a zero-copy alias instead of an O(n·m) repack.
+// all-ones missing sentinel), and the kernel aliases it with no repack. At
+// m=6 clusterings of ≤255 labels, that is 6 bytes per object instead of 48.
+// NewProblem packs []Labels through the column builder; ingest paths build
+// the block directly and never materialize []int labels on the kernel path.
 //
 // Contiguous object ranges of a packed block alias as sub-views (view):
 // the sharded SAMPLING tree cuts its per-shard subproblems out of the
@@ -101,8 +102,8 @@ func NewPackedColumns(n, m int) *PackedBuilder {
 }
 
 // AppendRow appends one object's labels across the m clusterings (row
-// mode). Labels must be non-negative or partition.Missing; row length must
-// be m.
+// mode). Labels must be in [0, math.MaxInt32) or partition.Missing; row
+// length must be m.
 func (b *PackedBuilder) AppendRow(row []int) error {
 	if b.colMode || b.built {
 		return fmt.Errorf("core: AppendRow on a %s builder", b.state())
@@ -115,8 +116,8 @@ func (b *PackedBuilder) AppendRow(row []int) error {
 		if l == partition.Missing {
 			continue
 		}
-		if l < 0 {
-			return fmt.Errorf("core: clustering %d: partition: invalid label %d", i, l)
+		if err := checkLabel(i, l); err != nil {
+			return err
 		}
 		if l32 := int32(l) + 1; l32 > bound {
 			bound = l32
@@ -146,7 +147,7 @@ func (b *PackedBuilder) AppendRow(row []int) error {
 }
 
 // AppendColumn appends one whole clustering (column mode). Labels must be
-// non-negative or partition.Missing; the column length must be n.
+// in [0, math.MaxInt32) or partition.Missing; the column length must be n.
 func (b *PackedBuilder) AppendColumn(col []int) error {
 	if !b.colMode || b.built {
 		return fmt.Errorf("core: AppendColumn on a %s builder", b.state())
@@ -164,8 +165,8 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 		if l == partition.Missing {
 			continue
 		}
-		if l < 0 {
-			return fmt.Errorf("core: clustering %d: partition: invalid label %d", ci, l)
+		if err := checkLabel(ci, l); err != nil {
+			return err
 		}
 		if l32 := int32(l) + 1; l32 > bound {
 			bound = l32
@@ -195,6 +196,19 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 		}
 	}
 	b.cols++
+	return nil
+}
+
+// checkLabel rejects a present label of clustering i that the block cannot
+// store: negatives, and labels whose exclusive bound l+1 overflows int32
+// (which would otherwise alias a small label or the missing sentinel).
+func checkLabel(i, l int) error {
+	if l < 0 {
+		return fmt.Errorf("core: clustering %d: partition: invalid label %d", i, l)
+	}
+	if l >= math.MaxInt32 {
+		return fmt.Errorf("core: clustering %d: label %d is not below %d", i, l, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -370,8 +384,7 @@ func (pc *PackedClusterings) view(lo, hi int) *PackedClusterings {
 }
 
 // gather copies the given object rows into one fresh arena at the parent's
-// width — the packed analogue of the []int-copying subProblem, m bytes·width
-// per object instead of 8·m.
+// width: m·width bytes per object.
 func (pc *PackedClusterings) gather(idx []int) *PackedClusterings {
 	m := pc.m
 	g := &PackedClusterings{
@@ -429,9 +442,10 @@ func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 	}
 }
 
-// unpackAll materializes every clustering — the compatibility escape hatch
-// behind Problem.Clusterings and the contingency-table BestClustering path.
-// It allocates m·n ints; packed problems only pay it on those paths.
+// unpackAll materializes every clustering — the []int views behind
+// Problem.Clusterings, matrix materialization, and the contingency-table
+// BestClustering. It allocates m·n ints, once per Problem, and only for
+// problems NewProblem did not seed with the caller's slices.
 func (pc *PackedClusterings) unpackAll() []partition.Labels {
 	out := make([]partition.Labels, pc.m)
 	for i := range out {
@@ -442,9 +456,9 @@ func (pc *PackedClusterings) unpackAll() []partition.Labels {
 	return out
 }
 
-// kernelFrom aliases the packed block as a labelKernel for p — zero-copy at
-// the stored width; a forced wider width re-encodes (tests pin widths
-// against each other through this path).
+// kernelFrom aliases the packed block as a labelKernel for p — the only way
+// a kernel is built. Zero-copy at the stored width (force 0); a forced wider
+// width re-encodes (tests pin widths against each other through this path).
 func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
 	m := pc.m
 	lk := &labelKernel{
@@ -483,12 +497,12 @@ func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
 }
 
 // NewProblemPacked builds an aggregation problem directly over a packed
-// label block: the kernel path (Sample, matrix-free Aggregate, Disagreement,
-// LowerBound) aliases the block's storage and never materializes []int
-// labels. Paths that need per-clustering []int views (matrix
-// materialization of small subproblems, the contingency-table
-// BestClustering, Clusterings()) unpack on demand. Distances, and therefore
-// results, are identical to NewProblem over the unpacked labels —
+// label block: the kernel path (Sample, matrix-free Aggregate, Dist,
+// Disagreement, LowerBound) aliases the block's storage and never
+// materializes []int labels. Paths that need per-clustering []int views
+// (matrix materialization, the contingency-table BestClustering,
+// Clusterings()) unpack on demand, once. Distances, and therefore results,
+// are identical to NewProblem over the unpacked labels —
 // TestPackedProblemEquivalence pins this bit for bit.
 func NewProblemPacked(pc *PackedClusterings, opts ProblemOptions) (*Problem, error) {
 	if pc == nil || pc.m == 0 {

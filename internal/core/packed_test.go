@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,7 +23,7 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	var b *PackedBuilder
 	if colMode {
 		b = NewPackedColumns(n, m)
-		for _, c := range p.clusterings {
+		for _, c := range p.Clusterings() {
 			if err := b.AppendColumn(c); err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +32,7 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 		b = NewPackedBuilder(m)
 		row := make([]int, m)
 		for v := 0; v < n; v++ {
-			for i, c := range p.clusterings {
+			for i, c := range p.Clusterings() {
 				row[i] = c[v]
 			}
 			if err := b.AppendRow(row); err != nil {
@@ -49,11 +51,11 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	return pp
 }
 
-// TestPackedProblemEquivalence: a packed problem must be observationally
-// identical to the unpacked one over the same labels — bit-identical
-// distances, objective values, aggregation results, and sampled labels
-// (single-level and sharded), via both builder modes, across missing modes
-// and weights.
+// TestPackedProblemEquivalence: a NewProblemPacked problem, built by
+// either builder mode, must be observationally identical to NewProblem over
+// the same []Labels — distances bit-identical to probeDist, and identical
+// objective values, aggregation results, and sampled labels (single-level
+// and sharded), across missing modes and weights.
 func TestPackedProblemEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	for trial := 0; trial < 8; trial++ {
@@ -83,21 +85,21 @@ func TestPackedProblemEquivalence(t *testing.T) {
 			}
 			for v := 0; v < n; v += 7 {
 				for u := 0; u < n; u += 5 {
-					if got, want := pp.Dist(u, v), p.Dist(u, v); got != want {
-						t.Fatalf("trial %d: packed Dist(%d,%d) = %v, unpacked = %v", trial, u, v, got, want)
+					if got, want := pp.Dist(u, v), probeDist(p, u, v); got != want {
+						t.Fatalf("trial %d: packed Dist(%d,%d) = %v, probeDist = %v", trial, u, v, got, want)
 					}
 				}
 			}
 			cs := pp.Clusterings()
 			for i := range cs {
 				for v := range cs[i] {
-					if cs[i][v] != p.clusterings[i][v] {
+					if cs[i][v] != p.Clusterings()[i][v] {
 						t.Fatalf("trial %d: unpacked view [%d][%d] = %d, want %d",
-							trial, i, v, cs[i][v], p.clusterings[i][v])
+							trial, i, v, cs[i][v], p.Clusterings()[i][v])
 					}
 				}
 			}
-			someLabels := p.clusterings[0]
+			someLabels := p.Clusterings()[0]
 			if got, want := pp.Disagreement(completeMissing(someLabels)), p.Disagreement(completeMissing(someLabels)); got != want {
 				t.Fatalf("trial %d: packed Disagreement %v, unpacked %v", trial, got, want)
 			}
@@ -254,6 +256,31 @@ func TestPackedBuilderValidation(t *testing.T) {
 	if err := cb.AppendColumn([]int{0, 1}); err == nil || !strings.Contains(err.Error(), "finalized") {
 		t.Errorf("append after Build: %v", err)
 	}
+	// Labels at or above math.MaxInt32 have no int32 bound (l+1 overflows)
+	// and would alias a small label or the missing sentinel; both modes and
+	// NewProblem reject them. MaxInt32−1 is the largest storable label. The
+	// shift is by a variable so the file compiles with 32-bit ints, where
+	// 1<<31 wraps negative and is rejected as invalid instead.
+	shift := 31
+	p31 := 1 << shift
+	for _, l := range []int{math.MaxInt32, p31, math.MaxInt} {
+		if err := NewPackedBuilder(1).AppendRow([]int{l}); err == nil {
+			t.Errorf("label %d accepted in row mode", l)
+		}
+		if _, err := NewPackedColumns(3, 1).buildWith(t, []int{0, l, 0}); err == nil {
+			t.Errorf("label %d accepted in column mode", l)
+		}
+	}
+	if _, err := NewProblem([]partition.Labels{{0, p31, 0}}, ProblemOptions{}); err == nil {
+		t.Error("label 2^31 accepted by NewProblem")
+	}
+	top, err := NewPackedColumns(2, 1).buildWith(t, []int{0, math.MaxInt32 - 1})
+	if err != nil {
+		t.Fatalf("label MaxInt32-1 rejected: %v", err)
+	}
+	if top.width != width32 || top.maxLab[0] != math.MaxInt32 {
+		t.Errorf("label MaxInt32-1 packed at width %d bound %d", top.width, top.maxLab[0])
+	}
 	if _, err := NewProblemPacked(nil, ProblemOptions{}); err == nil {
 		t.Error("nil packed block accepted")
 	}
@@ -278,10 +305,10 @@ func (b *PackedBuilder) buildWith(t testing.TB, col []int) (*PackedClusterings, 
 	return b.Build()
 }
 
-// TestSubProblemRangeAliases pins the zero-copy shard-view satellite: a
-// contiguous range subproblem must alias the parent's storage — label
-// slices on the unpacked path, the packed block's rows on the packed path —
-// and cost O(m) header allocations, never O(range) label copies.
+// TestSubProblemRangeAliases pins the zero-copy shard view: a contiguous
+// range subproblem must alias the parent's packed block (label rows and
+// missing flags) and cost O(1) header allocations, never O(range) label
+// copies, while its distances match the oracle over the parent's objects.
 func TestSubProblemRangeAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(449))
 	p := randMixedProblem(t, rng, 400, 4, 0.1, ProblemOptions{MissingTogether: 0.5})
@@ -291,19 +318,11 @@ func TestSubProblemRangeAliases(t *testing.T) {
 	if sub.N() != hi-lo {
 		t.Fatalf("range subproblem n = %d, want %d", sub.N(), hi-lo)
 	}
-	for ci := range p.clusterings {
-		if &sub.clusterings[ci][0] != &p.clusterings[ci][lo] {
-			t.Fatalf("clustering %d: range subproblem copied instead of aliasing", ci)
-		}
+	if &sub.packed.lab8[0] != &p.packed.lab8[lo*p.M()] {
+		t.Fatal("range subproblem copied the label block instead of aliasing")
 	}
-
-	pp := packedTwin(t, p, true)
-	psub := pp.subProblemRange(lo, hi)
-	if &psub.packed.lab8[0] != &pp.packed.lab8[lo*pp.M()] {
-		t.Fatal("packed range subproblem copied the label block instead of aliasing")
-	}
-	if &psub.packed.hasMiss[0] != &pp.packed.hasMiss[lo] {
-		t.Fatal("packed range subproblem copied the missing flags instead of aliasing")
+	if &sub.packed.hasMiss[0] != &p.packed.hasMiss[lo] {
+		t.Fatal("range subproblem copied the missing flags instead of aliasing")
 	}
 
 	// No per-shard label allocation: the allocation count must not scale
@@ -313,60 +332,43 @@ func TestSubProblemRangeAliases(t *testing.T) {
 		_ = p.subProblemRange(0, 400)
 	})
 	if allocs > 8 {
-		t.Errorf("unpacked subProblemRange allocates %v objects, want a constant handful", allocs)
-	}
-	pAllocs := testing.AllocsPerRun(20, func() {
-		_ = pp.subProblemRange(0, 400)
-	})
-	if pAllocs > 8 {
-		t.Errorf("packed subProblemRange allocates %v objects, want a constant handful", pAllocs)
+		t.Errorf("subProblemRange allocates %v objects, want a constant handful", allocs)
 	}
 
-	// And the views must behave identically to the copying subProblem.
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	copied := p.subProblem(idx)
+	// And the view must measure the same distances as the parent.
 	for v := 0; v < sub.N(); v += 3 {
 		for u := 0; u < sub.N(); u += 7 {
-			want := copied.Dist(u, v)
-			if got := sub.Dist(u, v); got != want {
-				t.Fatalf("unpacked view Dist(%d,%d) = %v, copied = %v", u, v, got, want)
-			}
-			if got := psub.Dist(u, v); got != want {
-				t.Fatalf("packed view Dist(%d,%d) = %v, copied = %v", u, v, got, want)
+			if got, want := sub.Dist(u, v), probeDist(p, lo+u, lo+v); got != want {
+				t.Fatalf("view Dist(%d,%d) = %v, probeDist on the parent = %v", u, v, got, want)
 			}
 		}
 	}
 }
 
-// TestPackedGatherEquivalence: the packed subProblem gather must agree with
-// the unpacked copying subProblem on an arbitrary index subset.
+// TestPackedGatherEquivalence: the subProblem gather over an arbitrary
+// index subset must measure the parent's distances on the selected objects
+// and recompute anyMiss over them.
 func TestPackedGatherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(457))
 	p := randMixedProblem(t, rng, 300, 3, 0.15, ProblemOptions{MissingTogether: 0.5})
-	pp := packedTwin(t, p, false)
 	idx := rng.Perm(300)[:80]
-	for i := 1; i < len(idx); i++ { // subProblem wants sorted indices
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	want := p.subProblem(idx)
-	got := pp.subProblem(idx)
-	if got.packed == nil {
-		t.Fatal("packed subProblem fell back to unpacked labels")
-	}
+	sort.Ints(idx) // subProblem wants sorted indices
+	got := p.subProblem(idx)
 	for v := 0; v < len(idx); v++ {
 		for u := 0; u < len(idx); u++ {
-			if g, w := got.Dist(u, v), want.Dist(u, v); g != w {
-				t.Fatalf("gathered Dist(%d,%d) = %v, copied = %v", u, v, g, w)
+			if g, w := got.Dist(u, v), probeDist(p, idx[u], idx[v]); g != w {
+				t.Fatalf("gathered Dist(%d,%d) = %v, probeDist on the parent = %v", u, v, g, w)
 			}
 		}
 	}
-	if got.packed.anyMiss != want.kernel().anyMiss {
-		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, want.kernel().anyMiss)
+	wantMiss := false
+	for _, c := range p.Clusterings() {
+		for _, obj := range idx {
+			wantMiss = wantMiss || c[obj] == partition.Missing
+		}
+	}
+	if got.packed.anyMiss != wantMiss {
+		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, wantMiss)
 	}
 }
 
@@ -403,7 +405,7 @@ func TestKernelCacheIdentity(t *testing.T) {
 	if f16.lab16 == nil || f16.width != width16 {
 		t.Errorf("forced width16 on a packed problem: width %d, lab16 nil=%v", f16.width, f16.lab16 == nil)
 	}
-	// Forcing below the packed width panics like the unpacked builder.
+	// Forcing below the packed width panics.
 	wideB := NewPackedColumns(2, 1)
 	if err := wideB.AppendColumn([]int{0, 300}); err != nil {
 		t.Fatal(err)

@@ -193,7 +193,7 @@ func TestAutoSampleSize(t *testing.T) {
 // workers, but every object's decision is independent of scheduling, so the
 // returned clustering must be bit-identical for every worker count — on
 // instances with missing values and non-uniform weights, under both missing
-// modes and both assignment paths.
+// modes.
 func TestSampleWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 6; trial++ {
@@ -209,24 +209,22 @@ func TestSampleWorkersIdentical(t *testing.T) {
 		opts.Weights = w
 		p := randMixedProblem(t, rng, 300+rng.Intn(200), m, 0.25, opts)
 
-		for _, ref := range []bool{false, true} {
-			var base partition.Labels
-			for _, workers := range []int{0, 1, 2, 3, 8} {
-				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
-					SampleSize: 60, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: ref,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base == nil {
-					base = labels
-					continue
-				}
-				for i := range labels {
-					if labels[i] != base[i] {
-						t.Fatalf("trial %d (ref=%v): Workers=%d diverges from Workers=0 at object %d",
-							trial, ref, workers, i)
-					}
+		var base partition.Labels
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
+				SampleSize: 60, Rand: rand.New(rand.NewSource(int64(trial))),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == nil {
+				base = labels
+				continue
+			}
+			for i := range labels {
+				if labels[i] != base[i] {
+					t.Fatalf("trial %d: Workers=%d diverges from Workers=0 at object %d",
+						trial, workers, i)
 				}
 			}
 		}

@@ -16,8 +16,8 @@ import (
 // sample-observed histogram bound rescan).
 func widenLabels(t testing.TB, p *Problem, factor int) *Problem {
 	t.Helper()
-	cs := make([]partition.Labels, len(p.clusterings))
-	for i, c := range p.clusterings {
+	cs := make([]partition.Labels, len(p.Clusterings()))
+	for i, c := range p.Clusterings() {
 		wc := make(partition.Labels, len(c))
 		for j, l := range c {
 			if l == partition.Missing {
@@ -166,7 +166,7 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 // TestLabelKernelWideLabelsBitIdentical: instances whose labels genuinely
 // need the wider widths (auto-selected uint16 and int32, the latter past
 // histBoundCap so the histograms rescan the sample for their bound) must
-// still agree bit for bit with the int32 kernel and with Problem.Dist, and
+// still agree bit for bit with the int32 kernel and with probeDist, and
 // relabeling must not change distances at all.
 func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
@@ -190,14 +190,14 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 		n := wp.N()
 		for v := 0; v < n; v++ {
 			for u := 0; u < n; u++ {
-				want := wp.Dist(v, u)
+				want := probeDist(wp, v, u)
 				if got := lk.Dist(v, u); got != want {
-					t.Fatalf("trial %d: packed Dist(%d,%d) = %v, Problem.Dist = %v", trial, v, u, got, want)
+					t.Fatalf("trial %d: packed Dist(%d,%d) = %v, probeDist = %v", trial, v, u, got, want)
 				}
 				if got := lk32.Dist(v, u); got != want {
-					t.Fatalf("trial %d: int32 Dist(%d,%d) = %v, Problem.Dist = %v", trial, v, u, got, want)
+					t.Fatalf("trial %d: int32 Dist(%d,%d) = %v, probeDist = %v", trial, v, u, got, want)
 				}
-				if want != p.Dist(v, u) {
+				if want != probeDist(p, v, u) {
 					t.Fatalf("trial %d: relabeling changed Dist(%d,%d)", trial, v, u)
 				}
 			}
@@ -311,8 +311,7 @@ func FuzzLabelKernelWidths(f *testing.F) {
 // tree must return bit-identical labels at every worker count — shard seeds
 // are pre-drawn, shards run single-threaded, and the final assignment is
 // scheduling-independent. Shards = 0 must auto-resolve to the single-level
-// pass below the shardTarget threshold, and both assignment paths must hold
-// the property.
+// pass below the shardTarget threshold.
 func TestSampleShardsWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	for trial := 0; trial < 4; trial++ {
@@ -330,37 +329,33 @@ func TestSampleShardsWorkersIdentical(t *testing.T) {
 
 		var singleLevel partition.Labels
 		for _, shards := range []int{0, 1, 2, 7} {
-			for _, ref := range []bool{false, true} {
-				var base partition.Labels
-				for _, workers := range []int{0, 1, 8} {
-					labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
-						SampleSize: 50, Shards: shards, ReferenceAssign: ref,
-						Rand: rand.New(rand.NewSource(int64(trial))),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base == nil {
-						base = labels
-					}
-					for i := range labels {
-						if labels[i] != base[i] {
-							t.Fatalf("trial %d: Shards=%d ref=%v Workers=%d diverges at object %d",
-								trial, shards, ref, workers, i)
-						}
+			var base partition.Labels
+			for _, workers := range []int{0, 1, 8} {
+				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
+					SampleSize: 50, Shards: shards,
+					Rand: rand.New(rand.NewSource(int64(trial))),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base = labels
+				}
+				for i := range labels {
+					if labels[i] != base[i] {
+						t.Fatalf("trial %d: Shards=%d Workers=%d diverges at object %d",
+							trial, shards, workers, i)
 					}
 				}
-				if shards == 0 && !ref {
-					singleLevel = base
-				}
-				// Below shardTarget, auto sharding must be the single-level
-				// pass (and the kernel/reference paths agree only on exact
-				// instances, so compare within the same path).
-				if shards == 1 && !ref {
-					for i := range base {
-						if base[i] != singleLevel[i] {
-							t.Fatalf("trial %d: Shards=1 differs from auto Shards=0 at object %d", trial, i)
-						}
+			}
+			if shards == 0 {
+				singleLevel = base
+			}
+			// Below shardTarget, auto sharding must be the single-level pass.
+			if shards == 1 {
+				for i := range base {
+					if base[i] != singleLevel[i] {
+						t.Fatalf("trial %d: Shards=1 differs from auto Shards=0 at object %d", trial, i)
 					}
 				}
 			}
