@@ -99,12 +99,13 @@ bench-short:
 bench-mem:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/dataset/ ./internal/obs/
 
-# The ingest suite: sequential vs chunked-parallel CSV reader throughput
-# (internal/dataset, full benchtime with -benchmem) plus one smoke pass of
-# the end-to-end CSV→labels facade benchmarks (the "ingest" artifact and
-# the pipelined AggregateCSV path). Part of `make check`.
+# The ingest suite: CSV reader throughput at 1/2/8 chunk parsers next to
+# the test-side sequential oracle (internal/dataset, full benchtime with
+# -benchmem) plus one smoke pass of the end-to-end CSV→labels facade
+# benchmarks (the "ingest" artifact and the pipelined AggregateCSV path).
+# Part of `make check`.
 bench-ingest:
-	$(GO) test -run xxx -bench 'BenchmarkReadCSV$$|BenchmarkReadCSVParallel$$' -benchmem ./internal/dataset/
+	$(GO) test -run xxx -bench 'BenchmarkReadCSV$$' -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkIngestThroughput$$|BenchmarkAggregateCSV$$' -benchtime 1x -benchmem .
 
 # The observability cost sheet: the BenchmarkObsOverhead suite prices the
@@ -141,11 +142,11 @@ fuzz-kernel:
 fuzz-widths:
 	$(GO) test -run FuzzLabelKernelWidths -fuzz FuzzLabelKernelWidths -fuzztime 30s ./internal/core/
 
-# Fuzz the chunked parallel CSV reader against the sequential one: tables
-# (ids, order, missing cells) and errors must be identical at every worker
-# count.
+# Fuzz the chunked CSV reader against the test-side sequential oracle:
+# tables (ids, order, missing cells) and errors must be identical at every
+# worker count and chunk size.
 fuzz-ingest:
-	$(GO) test -run FuzzReadCSVParallelEquiv -fuzz FuzzReadCSVParallelEquiv -fuzztime 30s ./internal/dataset/
+	$(GO) test -run '^FuzzReadCSVEquiv$$' -fuzz '^FuzzReadCSVEquiv$$' -fuzztime 30s ./internal/dataset/
 
 # Everything: one benchmark per table/figure plus the ablations.
 bench-all:
@@ -161,9 +162,9 @@ experiments-full:
 
 # Short fuzzing passes over the CSV loader and partition invariants.
 fuzz:
-	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
-	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
-	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
+	$(GO) test -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s ./internal/dataset/
+	$(GO) test -run '^FuzzNormalize$$' -fuzz '^FuzzNormalize$$' -fuzztime 30s ./internal/partition/
+	$(GO) test -run '^FuzzDistance$$' -fuzz '^FuzzDistance$$' -fuzztime 30s ./internal/partition/
 
 clean:
 	$(GO) clean ./...

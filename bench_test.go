@@ -10,6 +10,7 @@
 package clusteragg_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -240,11 +241,11 @@ func BenchmarkMissingValueSweep(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput runs the "ingest" artifact: CSV bytes →
-// aggregate labels in the three ingest modes (sequential one-pass reader,
-// chunked parallel reader, pipelined with the sharded sampling tree), with
-// the runner verifying the modes agree label for label. Metrics: per-mode
-// MB/s. On a single-core machine the parallel modes mostly measure
-// coordination overhead — see docs/PERFORMANCE.md's Ingest section.
+// aggregate labels in the two ingest modes (drain the chunked reader, then
+// sample; pipelined with the sharded sampling tree), with the runner
+// verifying the modes agree label for label. Metrics: per-mode MB/s. On a
+// single-core machine the pipeline has nothing to overlap — see
+// docs/PERFORMANCE.md's Ingest section.
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := benchCfg()
 	cfg.IngestRows = 20_000
@@ -256,29 +257,23 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		if i == 0 {
 			b.Log("\n" + res.String())
 			mb := float64(res.Bytes) / (1 << 20)
-			b.ReportMetric(mb/res.Seq.Seconds(), "seq-MB/s")
-			b.ReportMetric(mb/res.Parallel.Seconds(), "parallel-MB/s")
+			b.ReportMetric(mb/res.Drain.Seconds(), "drain-MB/s")
 			b.ReportMetric(mb/res.Pipelined.Seconds(), "pipelined-MB/s")
 		}
 	}
 }
 
 // BenchmarkAggregateCSV measures the public facade end to end — CSV bytes
-// in, labels plus objective out — sequential vs pipelined ingest. The shard
-// target is shrunk so the pipeline genuinely engages at benchmark scale;
-// labels are identical across modes (pinned by
-// TestAggregateCSVPipelinedEquiv), so the delta is pure ingest and overlap.
+// in, labels plus objective out — through the pipelined SAMPLING ingest at
+// one and eight chunk parsers. The shard target is shrunk so the pipeline
+// genuinely engages at benchmark scale; labels are identical at every
+// parser count (pinned by TestAggregateCSVPipelinedEquiv), so the delta is
+// pure ingest parallelism and overlap.
 func BenchmarkAggregateCSV(b *testing.B) {
 	defer core.SetShardTarget(2048)()
 	data := pipelineCSV(8000)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 0},
-		{"pipelined", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("ingest-workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -287,7 +282,7 @@ func BenchmarkAggregateCSV(b *testing.B) {
 					ClassColumn:   "class",
 					Method:        clusteragg.MethodFurthest,
 					SampleSize:    400,
-					IngestWorkers: bc.workers,
+					IngestWorkers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -144,22 +144,17 @@ type CSVOptions struct {
 	// SampleSize, when positive, switches to the SAMPLING algorithm with
 	// this sample size.
 	SampleSize int
-	// Shards, when positive, switches to sharded hierarchical SAMPLING
-	// with this many shards (1 = classic single-level SAMPLING); see
-	// SamplingOptions.Shards. It implies SAMPLING even when SampleSize is
-	// zero (each level auto-sizes its sample).
+	// Shards, when nonzero, switches to sharded hierarchical SAMPLING: a
+	// positive value is the shard count (1 = classic single-level
+	// SAMPLING) and a negative one auto-sizes the count by n (the
+	// SamplingOptions.Shards 0 setting). It implies SAMPLING even when
+	// SampleSize is zero (each level auto-sizes its sample).
 	Shards int
 	// SampleSeed seeds the SAMPLING randomness (0 = seed 1, matching
 	// SamplingOptions.Rand's default). Ignored outside SAMPLING.
 	SampleSeed int64
-	// IngestWorkers switches ingest to the parallel chunked CSV reader
-	// with this many concurrent chunk parsers (0 = the sequential one-pass
-	// reader, 1 = a single chunked parser). The parsed table is
-	// bit-identical at every setting. When SAMPLING is active, ingest is
-	// additionally pipelined with the sharded aggregation tree: row
-	// segments are handed to shard consumers as soon as they are parsed,
-	// so shard aggregation overlaps the parsing of later rows — still
-	// bit-identical to reading everything first.
+	// IngestWorkers is the number of concurrent CSV chunk parsers
+	// (0 = GOMAXPROCS). Results are bit-identical at every setting.
 	IngestWorkers int
 }
 
@@ -184,79 +179,43 @@ type CSVResult struct {
 // AggregateCSV clusters categorical CSV data end to end: every categorical
 // attribute becomes an input clustering (the Section 2 reduction) and the
 // aggregate is computed with the chosen method. Numeric columns are ignored;
-// "?" and empty cells are missing values.
+// "?" and empty cells are missing values. Under SAMPLING (SampleSize or
+// Shards nonzero) ingest is pipelined with the sharded aggregation tree: row
+// segments reach shard consumers as soon as they are parsed, so shard
+// aggregation overlaps the parsing of later rows, with labels bit-identical
+// to reading everything first.
 func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
-	sampling := opts.SampleSize > 0 || opts.Shards > 0
-	if opts.IngestWorkers > 0 && sampling {
+	if opts.SampleSize > 0 || opts.Shards != 0 {
 		return aggregateCSVPipelined(r, opts)
 	}
-	dopts := dataset.CSVOptions{
+	t, err := dataset.ReadCSV(r, dataset.CSVOptions{
 		HasHeader:   opts.HasHeader,
 		ClassColumn: opts.ClassColumn,
 		Workers:     opts.IngestWorkers,
-	}
-	var t *dataset.Table
-	var err error
-	if opts.IngestWorkers > 0 {
-		t, err = dataset.ReadCSVParallel(r, dopts)
-	} else {
-		t, err = dataset.ReadCSV(r, dopts)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
-	cats := t.CategoricalColumns()
-	if len(cats) == 0 {
-		return nil, fmt.Errorf("clusteragg: dataset: table %q has no categorical columns", t.Name)
+	problem, err := t.PackedProblem()
+	if err != nil {
+		return nil, fmt.Errorf("clusteragg: %w", err)
 	}
 	rec := opts.Options.Recorder
 	rec.Add("ingest.rows", int64(t.N()))
 	rec.Add("ingest.bytes", t.BytesRead)
-	// Stream each attribute's labels into the width-packed block so the
-	// per-attribute []int clusterings are transient, not resident.
-	b := core.NewPackedColumns(t.N(), len(cats))
-	for _, c := range cats {
-		labels, err := c.Clustering()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.AppendColumn(labels); err != nil {
-			return nil, err
-		}
-	}
-	pc, err := b.Build()
+	labels, err := problem.Aggregate(opts.Method, opts.Options)
 	if err != nil {
 		return nil, err
 	}
-	problem, err := core.NewProblemPacked(pc, core.ProblemOptions{})
-	if err != nil {
-		return nil, err
-	}
-	var labels Labels
-	if sampling {
-		labels, err = problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
-			SampleSize: opts.SampleSize,
-			Shards:     opts.Shards,
-			Rand:       sampleRand(opts.SampleSeed),
-		})
-	} else {
-		labels, err = problem.Aggregate(opts.Method, opts.Options)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := &CSVResult{
+	return &CSVResult{
 		Labels:       labels,
+		Class:        t.Class,
 		Disagreement: problem.Disagreement(labels),
 		LowerBound:   problem.LowerBound(),
 		Attributes:   problem.M(),
 		Rows:         t.N(),
 		BytesRead:    t.BytesRead,
-	}
-	if t.Class != nil {
-		res.Class = t.Class
-	}
-	return res, nil
+	}, nil
 }
 
 // sampleRand maps the CSVOptions seed to the SAMPLING randomness source,
@@ -290,7 +249,10 @@ type csvFeedSink struct {
 
 func (s *csvFeedSink) Schema(cats []string, hasClass bool) error {
 	if len(cats) == 0 {
-		return fmt.Errorf("clusteragg: dataset: table %q has no categorical columns", "")
+		// An empty table fails PackedProblem the way the exact route's
+		// table does, so both routes report the same error.
+		_, err := new(dataset.Table).PackedProblem()
+		return fmt.Errorf("clusteragg: %w", err)
 	}
 	f, err := core.NewSampleFeed(len(cats), core.ProblemOptions{}, s.method, s.aggOpts, s.sOpts)
 	if err != nil {
@@ -316,12 +278,12 @@ func (s *csvFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
 }
 
 // aggregateCSVPipelined is the SAMPLING ingest/compute pipeline: the
-// parallel chunked reader streams merged rows into a SampleFeed, which
-// seals fixed-size row segments and aggregates them as shards while later
-// chunks are still being parsed. Labels are bit-identical to the
-// read-everything-first path at every IngestWorkers / Workers / Shards
-// setting; the span tree gains a pipeline span whose ingest lane overlaps
-// the sample span's shard lanes (visible in Chrome traces).
+// chunked CSV reader streams merged rows into a SampleFeed, which seals
+// fixed-size row segments and aggregates them as shards while later chunks
+// are still being parsed. Labels are bit-identical to reading everything
+// and then running Problem.Sample, at every IngestWorkers / Workers /
+// Shards setting; the span tree gains a pipeline span whose ingest lane
+// overlaps the sample span's shard lanes (visible in Chrome traces).
 func aggregateCSVPipelined(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	rec := opts.Options.Recorder
 	pipe := rec.Start("pipeline")
@@ -330,7 +292,7 @@ func aggregateCSVPipelined(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 		aggOpts: opts.Options,
 		sOpts: core.SamplingOptions{
 			SampleSize: opts.SampleSize,
-			Shards:     opts.Shards,
+			Shards:     max(opts.Shards, 0), // negative = auto-size by n
 			Rand:       sampleRand(opts.SampleSeed),
 		},
 		ingest: pipe.StartChild("ingest"),

@@ -30,15 +30,16 @@
 //	-shards N      shard the objects and aggregate hierarchically (implies
 //	               SAMPLING; -1 = auto-size by n, 0 = off, N = explicit
 //	               shard count — see SamplingOptions.Shards)
-//	-seed N        random seed for sampling (default 1)
+//	-seed N        random seed for sampling (default 1; SAMPLING treats
+//	               0 as 1)
 //	-workers N     cap worker goroutines for the parallel stages
 //	               (0 = GOMAXPROCS, 1 = sequential; results are identical
 //	               for every value)
 //	-ingest-workers N
 //	               parse the CSV with N concurrent chunk parsers
-//	               (0 = sequential reader); with -sample/-shards, ingest is
-//	               additionally pipelined with shard aggregation — results
-//	               are identical for every value
+//	               (0 = GOMAXPROCS); results are identical for every value.
+//	               With -sample/-shards (and no -describe), ingest is
+//	               pipelined with shard aggregation
 //	-summary       print cluster sizes instead of per-row assignments
 //	-describe      print each cluster's dominant attribute values
 //	-trace         print a span tree and algorithm counters on stderr
@@ -48,8 +49,8 @@
 //	               stdout); load in Perfetto or chrome://tracing
 //	-progress      print throttled progress events on stderr while running
 //	-listen ADDR   serve /metrics (Prometheus text), /series, /runtime,
-//	               /logs, the live /dashboard HTML console, /debug/vars,
-//	               and /debug/pprof on ADDR (e.g. ":9090") for the duration
+//	               /logs, the live /dashboard HTML console, and
+//	               /debug/pprof on ADDR (e.g. ":9090") for the duration
 //	               of the run
 //	-log FORMAT    stream the structured event log to stderr as "text" or
 //	               "json" lines (slog format); the retained tail also lands
@@ -136,14 +137,14 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 0, "sharded hierarchical SAMPLING: shard count (-1 = auto-size by n, 0 = off)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for sampling and randomized methods")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.ingestWorkers, "ingest-workers", 0, "concurrent CSV chunk parsers (0 = sequential reader); with -sample/-shards, pipelines ingest with shard aggregation")
+	flag.IntVar(&cfg.ingestWorkers, "ingest-workers", 0, "concurrent CSV chunk parsers (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.summary, "summary", false, "print cluster sizes instead of assignments")
 	flag.BoolVar(&cfg.describe, "describe", false, "print each cluster's dominant attribute values")
 	flag.BoolVar(&cfg.trace, "trace", false, "print a span tree and algorithm counters on stderr")
 	flag.StringVar(&cfg.report, "report", "", "write a JSON run report to this file (\"-\" = stdout)")
 	flag.StringVar(&cfg.tracefile, "tracefile", "", "write a Chrome trace_event JSON trace to this file (\"-\" = stdout)")
 	flag.BoolVar(&cfg.progress, "progress", false, "print throttled progress events on stderr")
-	flag.StringVar(&cfg.listen, "listen", "", "serve /metrics, /dashboard, /debug/vars, and /debug/pprof on this address during the run")
+	flag.StringVar(&cfg.listen, "listen", "", "serve /metrics, /dashboard, and /debug/pprof on this address during the run")
 	flag.StringVar(&cfg.logFormat, "log", "", "stream the structured event log to stderr as \"text\" or \"json\" lines")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a pprof heap profile to this file")
@@ -270,11 +271,6 @@ func run(path string, cfg cliConfig) error {
 		Recorder:   rec,
 		Progress:   progress,
 	}
-	shards := cfg.shards
-	if shards < 0 {
-		shards = 0 // -shards -1: auto-size by n
-	}
-
 	methodName := cfg.method
 	var labels, classLabels partition.Labels
 	var tab *dataset.Table
@@ -282,18 +278,18 @@ func run(path string, cfg cliConfig) error {
 	var disagreement, lowerBound float64
 	sampling := cfg.sample > 0 || cfg.shards != 0
 	rec.Event("run.start", "method", cfg.method, "sampling", sampling, "workers", cfg.workers)
-	if cfg.ingestWorkers > 0 && sampling && !cfg.describe {
-		// Pipelined ingest: the chunked parallel reader streams rows
-		// straight into the sharded sampling tree, so shard aggregation
-		// overlaps the parsing of later chunks. -describe is excluded — it
-		// needs the materialized table.
+	if sampling && !cfg.describe {
+		// Pipelined ingest: the chunked reader streams rows straight into
+		// the sharded sampling tree, so shard aggregation overlaps the
+		// parsing of later chunks. -describe is excluded — it needs the
+		// materialized table.
 		res, err := clusteragg.AggregateCSV(in, clusteragg.CSVOptions{
 			HasHeader:     cfg.header,
 			ClassColumn:   cfg.class,
 			Method:        method,
 			Options:       opts,
 			SampleSize:    cfg.sample,
-			Shards:        shards,
+			Shards:        cfg.shards, // -1: auto-size by n
 			SampleSeed:    cfg.seed,
 			IngestWorkers: cfg.ingestWorkers,
 		})
@@ -305,23 +301,18 @@ func run(path string, cfg cliConfig) error {
 		disagreement, lowerBound = res.Disagreement, res.LowerBound
 	} else {
 		loadSpan := rec.Start("load")
-		dopts := dataset.CSVOptions{
+		tab, err = dataset.ReadCSV(in, dataset.CSVOptions{
 			Name:        path,
 			HasHeader:   cfg.header,
 			ClassColumn: cfg.class,
 			Workers:     cfg.ingestWorkers,
-		}
-		if cfg.ingestWorkers > 0 {
-			tab, err = dataset.ReadCSVParallel(in, dopts)
-		} else {
-			tab, err = dataset.ReadCSV(in, dopts)
-		}
+		})
 		if err != nil {
 			return err
 		}
 		rec.Add("ingest.rows", int64(tab.N()))
 		rec.Add("ingest.bytes", tab.BytesRead)
-		problem, err := packedProblem(tab)
+		problem, err := tab.PackedProblem()
 		loadSpan.End()
 		if err != nil {
 			return err
@@ -330,10 +321,16 @@ func run(path string, cfg cliConfig) error {
 
 		switch {
 		case sampling:
+			// Seeded as CSVOptions.SampleSeed seeds the pipelined route
+			// (0 = seed 1), so -describe never changes the labels.
+			seed := cfg.seed
+			if seed == 0 {
+				seed = 1
+			}
 			labels, err = problem.Sample(method, opts, core.SamplingOptions{
 				SampleSize: cfg.sample,
-				Shards:     shards,
-				Rand:       rand.New(rand.NewSource(cfg.seed)),
+				Shards:     max(cfg.shards, 0), // -1: auto-size by n
+				Rand:       rand.New(rand.NewSource(seed)),
 			})
 		case bestOf:
 			var winner core.Method
@@ -439,33 +436,6 @@ func run(path string, cfg cliConfig) error {
 	}
 	fmt.Print(b.String())
 	return nil
-}
-
-// packedProblem builds the aggregation problem straight from the table's
-// categorical columns through the width-packed column builder: each
-// attribute's labels stream into the packed arena one column at a time, so
-// the per-attribute []int clusterings are garbage as soon as they are
-// appended instead of staying resident for the whole run.
-func packedProblem(tab *dataset.Table) (*core.Problem, error) {
-	cats := tab.CategoricalColumns()
-	if len(cats) == 0 {
-		return nil, fmt.Errorf("dataset: table %q has no categorical columns", tab.Name)
-	}
-	b := core.NewPackedColumns(tab.N(), len(cats))
-	for _, c := range cats {
-		labels, err := c.Clustering()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.AppendColumn(labels); err != nil {
-			return nil, err
-		}
-	}
-	pc, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProblemPacked(pc, core.ProblemOptions{})
 }
 
 func parseMethod(name string) (core.Method, error) {

@@ -11,8 +11,9 @@
 // together; the "ensembles" (related-work consensus methods) and "missing"
 // (missing-value robustness) artifacts extend the paper's own evaluation —
 // see EXPERIMENTS.md. The "ingest" artifact measures CSV → labels end to
-// end in three ingest modes (sequential, chunked parallel, pipelined with
-// the sharded sampling tree) and verifies they produce identical labels.
+// end in two ingest modes (drain the chunked reader, then sample; and
+// pipelined with the sharded sampling tree) and verifies they produce
+// identical labels.
 // The "huge" artifact is the sharded-SAMPLING scaling ladder (200k → 1M →
 // 10M synthetic objects) plus a 1M-row CSV-on-disk end-to-end rung; it is
 // deliberately NOT part of "all" — run it explicitly or via
@@ -39,7 +40,7 @@
 //	-log FORMAT    mirror each artifact's structured events to stderr as
 //	               they happen ("text" or "json", via log/slog)
 //	-listen ADDR   serve /metrics (Prometheus text), /runtime, /logs,
-//	               /dashboard, /debug/vars, and /debug/pprof on ADDR; the
+//	               /dashboard, and /debug/pprof on ADDR; the
 //	               scrape follows the artifact currently running, and CPU
 //	               profiles taken from /debug/pprof carry phase/artifact/
 //	               worker labels (pprof -tagfocus)
@@ -73,7 +74,7 @@ func main() {
 		tracefile = flag.String("tracefile", "", "write a Chrome trace_event JSON trace to this file, one process per artifact (\"-\" = stdout)")
 		progress  = flag.Bool("progress", false, "print throttled per-artifact progress on stderr")
 		logFormat = flag.String("log", "", "mirror structured events to stderr as \"text\" or \"json\"")
-		listen    = flag.String("listen", "", "serve /metrics, /runtime, /logs, /dashboard, /debug/vars, and /debug/pprof on this address during the run")
+		listen    = flag.String("listen", "", "serve /metrics, /runtime, /logs, /dashboard, and /debug/pprof on this address during the run")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <fig3|fig4|table1|table2|table3|census|fig5left|fig5middle|fig5right|ensembles|missing|ingest|huge|all>\n")
@@ -450,12 +451,11 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 			"shards":            float64(res.Shards),
 			"clusters":          float64(res.Clusters),
 			"rand_index":        res.Rand,
-			"seq_seconds":       res.Seq.Seconds(),
-			"parallel_seconds":  res.Parallel.Seconds(),
+			"drain_seconds":     res.Drain.Seconds(),
 			"pipelined_seconds": res.Pipelined.Seconds(),
 		}
 		if res.Pipelined > 0 {
-			m["pipeline_time_ratio"] = res.Seq.Seconds() / res.Pipelined.Seconds()
+			m["pipeline_time_ratio"] = res.Drain.Seconds() / res.Pipelined.Seconds()
 			m["ingest_throughput"] = float64(res.Rows) / res.Pipelined.Seconds()
 		}
 		done(m)
@@ -494,10 +494,10 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 			m["csv:shards"] = float64(c.Shards)
 			m["csv:clusters"] = float64(c.KFound)
 			m["csv:rand_index"] = c.Rand
-			m["csv:seq_seconds"] = c.SeqDuration.Seconds()
+			m["csv:drain_seconds"] = c.DrainDuration.Seconds()
 			m["csv:pipelined_seconds"] = c.PipeDuration.Seconds()
 			if c.PipeDuration > 0 {
-				m["csv:pipeline_time_ratio"] = c.SeqDuration.Seconds() / c.PipeDuration.Seconds()
+				m["csv:pipeline_time_ratio"] = c.DrainDuration.Seconds() / c.PipeDuration.Seconds()
 			}
 			// Ratio-gated by benchdiff like the in-memory rungs.
 			m["csv:alloc_bytes"] = float64(c.AllocBytes)

@@ -183,8 +183,8 @@ func TestStreamPlantedChunkedDeterministic(t *testing.T) {
 }
 
 // TestStreamPlantedChunkedRoundTrip: the chunked stream must carry the same
-// schema and planted structure as the sequential one and survive both the
-// sequential and the parallel CSV reader identically.
+// schema and planted structure as the sequential one and read identically
+// with one and with several CSV chunk parsers.
 func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	withChunkRows(t, 128)
 	cfg := genConfig{name: "planted", seed: 3, rows: 700, attrs: 5, k: 4, noise: 0.1, missing: 0.05, workers: 4}
@@ -192,19 +192,19 @@ func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	opts := dataset.CSVOptions{HasHeader: true, ClassColumn: "class"}
+	opts := dataset.CSVOptions{HasHeader: true, ClassColumn: "class", Workers: 1}
 	tab, err := dataset.ReadCSV(bytes.NewReader(buf.Bytes()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	popts := opts
 	popts.Workers = 3
-	ptab, err := dataset.ReadCSVParallel(bytes.NewReader(buf.Bytes()), popts)
+	ptab, err := dataset.ReadCSV(bytes.NewReader(buf.Bytes()), popts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.N() != 700 || ptab.N() != 700 {
-		t.Errorf("N = %d (sequential) / %d (parallel), want 700", tab.N(), ptab.N())
+		t.Errorf("N = %d (1 parser) / %d (3 parsers), want 700", tab.N(), ptab.N())
 	}
 	if got := len(tab.CategoricalColumns()); got != 5 {
 		t.Errorf("categorical columns = %d, want 5", got)
@@ -225,7 +225,7 @@ func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	}
 	for ci := range cs {
 		if !slices.Equal(cs[ci], pcs[ci]) {
-			t.Errorf("column %d: parallel reader diverges from sequential on chunked stream", ci)
+			t.Errorf("column %d: 3 parsers diverge from 1 on chunked stream", ci)
 		}
 	}
 }

@@ -2,13 +2,14 @@ package dataset
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
 
 // benchCSV builds an in-memory CSV in the shape the loader actually meets:
 // mostly low-cardinality categorical columns with heavily repeated values
-// (the regime the bounded intern table and ReuseRecord target), one numeric
+// (the regime chunk-local interning and ReuseRecord target), one numeric
 // column, one class column, and a sprinkle of missing tokens.
 func benchCSV(rows int) string {
 	var sb strings.Builder
@@ -26,52 +27,33 @@ func benchCSV(rows int) string {
 	return sb.String()
 }
 
-// BenchmarkReadCSV pins the loader's speed and allocation profile (run with
-// -benchmem): one streamed pass with a reused record buffer and bounded
-// interning should allocate O(columns · distinct values) strings, not
-// O(cells). docs/PERFORMANCE.md records the before/after numbers.
+// BenchmarkReadCSV pins the reader's speed and allocation profile (run with
+// -benchmem) across chunk-parser counts, next to the test-side sequential
+// oracle on the same input. The 20k-row table is one chunk, so workers>1
+// mostly measures the chunking/merge overhead; docs/PERFORMANCE.md's Ingest
+// table records the numbers.
 func BenchmarkReadCSV(b *testing.B) {
 	data := benchCSV(20_000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := ReadCSV(strings.NewReader(data), CSVOptions{
-			Name: "bench", HasHeader: true, ClassColumn: "class",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.N() != 20_000 {
-			b.Fatalf("rows = %d", t.N())
+	opts := CSVOptions{Name: "bench", HasHeader: true, ClassColumn: "class"}
+	run := func(b *testing.B, read func(io.Reader, CSVOptions) (*Table, error), workers int) {
+		o := opts
+		o.Workers = workers
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t, err := read(strings.NewReader(data), o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if t.N() != 20_000 {
+				b.Fatalf("rows = %d", t.N())
+			}
 		}
 	}
-}
-
-// BenchmarkReadCSVParallel pins the chunked parallel reader on the same
-// workload as BenchmarkReadCSV, across worker counts. On a single-core
-// machine workers>1 mostly measures the chunking/merge overhead; the
-// interesting comparison is against BenchmarkReadCSV's sequential pass
-// (docs/PERFORMANCE.md's Ingest table).
-func BenchmarkReadCSVParallel(b *testing.B) {
-	data := benchCSV(20_000)
+	b.Run("oracle", func(b *testing.B) { run(b, readCSVSequential, 0) })
 	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t, err := ReadCSVParallel(strings.NewReader(data), CSVOptions{
-					Name: "bench", HasHeader: true, ClassColumn: "class", Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.N() != 20_000 {
-					b.Fatalf("rows = %d", t.N())
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, ReadCSV, workers) })
 	}
 }
 

@@ -141,13 +141,13 @@ var equivGrid = []struct{ workers, chunk int }{
 	{1, 64}, {2, 64}, {3, 257}, {8, 101}, {2, 4096}, {8, 1 << 20},
 }
 
-// TestReadCSVParallelEquiv pins ReadCSVParallel to produce bit-identical
-// tables to the sequential reader across worker counts and chunk sizes
-// small enough to force dozens-to-hundreds of chunks per input.
-func TestReadCSVParallelEquiv(t *testing.T) {
+// TestReadCSVEquiv pins the chunked reader to produce bit-identical tables
+// to the sequential oracle across worker counts and chunk sizes small
+// enough to force dozens-to-hundreds of chunks per input.
+func TestReadCSVEquiv(t *testing.T) {
 	for name, tc := range equivCSVs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			want, err := readCSVSequential(strings.NewReader(tc.data), tc.opts)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -164,10 +164,11 @@ func TestReadCSVParallelEquiv(t *testing.T) {
 	}
 }
 
-// TestReadCSVParallelErrorEquiv pins error equivalence: a malformed row or
-// cell must surface the exact sequential error (message, line numbers, and
-// which-row/which-column-wins ordering) no matter which chunk it lands in.
-func TestReadCSVParallelErrorEquiv(t *testing.T) {
+// TestReadCSVErrorEquiv pins error equivalence: a malformed row or cell
+// must surface the sequential oracle's exact error (message, line numbers,
+// and which-row/which-column-wins ordering) no matter which chunk it lands
+// in.
+func TestReadCSVErrorEquiv(t *testing.T) {
 	pad := func(rows int) string {
 		var sb strings.Builder
 		for r := 0; r < rows; r++ {
@@ -179,16 +180,20 @@ func TestReadCSVParallelErrorEquiv(t *testing.T) {
 		data string
 		opts CSVOptions
 	}{
-		"ragged-early":  {"a,b,class\n" + "x,1,c0\nx,1\n" + pad(900), CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"ragged-late":   {"a,b,class\n" + pad(900) + "x,1,2,3\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"bare-quote":    {"a,b,class\n" + pad(400) + "x,ba\"re,c0\n" + pad(400), CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"open-quote":    {"a,b,class\n" + pad(400) + "x,\"never closed,c0\n" + pad(400), CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"stray-quote":   {"a,b,class\n" + pad(700) + "x,\"mid\"dle,c0\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"empty":         {"", CSVOptions{}},
-		"blank-only":    {"\n\n\n", CSVOptions{}},
-		"header-only":   {"a,b,class\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
-		"no-class":      {"a,b\n" + pad(50), CSVOptions{HasHeader: true, ClassColumn: "zzz"}},
-		"class-missing": {"a,b,class\n" + pad(300) + "x,1,?\n" + pad(300), CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"ragged-early": {"a,b,class\n" + "x,1,c0\nx,1\n" + pad(900), CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"ragged-late":  {"a,b,class\n" + pad(900) + "x,1,2,3\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"bare-quote":   {"a,b,class\n" + pad(400) + "x,ba\"re,c0\n" + pad(400), CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"open-quote":   {"a,b,class\n" + pad(400) + "x,\"never closed,c0\n" + pad(400), CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"stray-quote":  {"a,b,class\n" + pad(700) + "x,\"mid\"dle,c0\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"empty":        {"", CSVOptions{}},
+		// A malformed first record after blank lines: the line number
+		// counts the skipped lines, with and without a header.
+		"bad-first-after-blank":          {"\n0\"\n", CSVOptions{HasHeader: true}},
+		"bad-first-after-blank-noheader": {"\n\r\n\nx,y\"z\n", CSVOptions{}},
+		"blank-only":                     {"\n\n\n", CSVOptions{}},
+		"header-only":                    {"a,b,class\n", CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"no-class":                       {"a,b\n" + pad(50), CSVOptions{HasHeader: true, ClassColumn: "zzz"}},
+		"class-missing":                  {"a,b,class\n" + pad(300) + "x,1,?\n" + pad(300), CSVOptions{HasHeader: true, ClassColumn: "class"}},
 		"forced-bad-late": {"a,num,class\n" + pad(800) + "x,notnum,c0\n" + pad(10),
 			CSVOptions{HasHeader: true, ClassColumn: "class", NumericColumns: []string{"num"}}},
 		// Two offending columns: the sequential reader reports the first bad
@@ -200,7 +205,7 @@ func TestReadCSVParallelErrorEquiv(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, wantErr := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			_, wantErr := readCSVSequential(strings.NewReader(tc.data), tc.opts)
 			if wantErr == nil {
 				t.Fatalf("sequential reader accepted the input; broken test case")
 			}
@@ -209,10 +214,10 @@ func TestReadCSVParallelErrorEquiv(t *testing.T) {
 				opts.Workers = g.workers
 				_, _, err := readCSVChunked(strings.NewReader(tc.data), opts, g.chunk, nil)
 				if err == nil {
-					t.Fatalf("workers=%d chunk=%d: parallel reader accepted input; want %q", g.workers, g.chunk, wantErr)
+					t.Fatalf("workers=%d chunk=%d: chunked reader accepted input; want %q", g.workers, g.chunk, wantErr)
 				}
 				if err.Error() != wantErr.Error() {
-					t.Fatalf("workers=%d chunk=%d:\n  parallel:   %v\n  sequential: %v", g.workers, g.chunk, err, wantErr)
+					t.Fatalf("workers=%d chunk=%d:\n  chunked:    %v\n  sequential: %v", g.workers, g.chunk, err, wantErr)
 				}
 			}
 		})
@@ -267,12 +272,12 @@ func (s *recordingSink) Rows(lo, hi int, cats [][]int, class []int) error {
 }
 
 // TestReadCSVStreamEquiv pins the streaming seam: the concatenation of the
-// delivered batches must equal the sequential table's categorical columns
+// delivered batches must equal the oracle table's categorical columns
 // (same ids, same order) and class labels, for every worker/chunk setting.
 func TestReadCSVStreamEquiv(t *testing.T) {
 	for name, tc := range equivCSVs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			want, err := readCSVSequential(strings.NewReader(tc.data), tc.opts)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -321,15 +326,15 @@ func TestReadCSVStreamEquiv(t *testing.T) {
 	}
 }
 
-// TestReadCSVBytesRead pins the no-extra-pass byte accounting on both
-// readers.
+// TestReadCSVBytesRead pins the no-extra-pass byte accounting on the reader
+// and the oracle.
 func TestReadCSVBytesRead(t *testing.T) {
 	data := benchCSV(500)
-	seq, err := ReadCSV(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class"})
+	seq, err := readCSVSequential(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ReadCSVParallel(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class", Workers: 3})
+	par, err := ReadCSV(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class", Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func (f *failAfterHeader) Read(p []byte) (int, error) {
 func TestReadCSVClassColumnFailsFast(t *testing.T) {
 	opts := CSVOptions{HasHeader: true, ClassColumn: "nope"}
 	want := `dataset: class column "nope" not found in header [a b]`
-	if _, err := ReadCSV(&failAfterHeader{header: "a,b\n"}, opts); err == nil || err.Error() != want {
+	if _, err := readCSVSequential(&failAfterHeader{header: "a,b\n"}, opts); err == nil || err.Error() != want {
 		t.Fatalf("sequential: %v, want %s", err, want)
 	}
 	// The chunked reader buffers ahead of the parse, so it sees the read
@@ -368,15 +373,15 @@ func TestReadCSVClassColumnFailsFast(t *testing.T) {
 	data := "a,b\n" + strings.Repeat("x\n", 10) // ragged rows after the header
 	opts.Workers = 2
 	if _, _, err := readCSVChunked(strings.NewReader(data), opts, 8, nil); err == nil || err.Error() != want {
-		t.Fatalf("parallel: %v, want %s", err, want)
+		t.Fatalf("chunked: %v, want %s", err, want)
 	}
 }
 
-// FuzzReadCSVParallelEquiv cross-checks the chunked reader against the
-// sequential one on arbitrary bytes and reader configurations: identical
+// FuzzReadCSVEquiv cross-checks the chunked reader against the sequential
+// oracle on arbitrary bytes and reader configurations: identical
 // tables (bit-for-bit) or identical error strings, at fuzzer-chosen worker
 // counts and chunk sizes.
-func FuzzReadCSVParallelEquiv(f *testing.F) {
+func FuzzReadCSVEquiv(f *testing.F) {
 	for _, tc := range equivCSVs() {
 		f.Add([]byte(tc.data), uint8(2), uint16(64), uint8(3))
 	}
@@ -400,15 +405,15 @@ func FuzzReadCSVParallelEquiv(f *testing.F) {
 		if cfg&32 != 0 {
 			opts.MissingTokens = []string{"?", "", "NA"}
 		}
-		want, wantErr := ReadCSV(strings.NewReader(string(data)), opts)
+		want, wantErr := readCSVSequential(strings.NewReader(string(data)), opts)
 		opts.Workers = 1 + int(workers%8)
 		got, _, err := readCSVChunked(strings.NewReader(string(data)), opts, 1+int(chunk%2048), nil)
 		if (wantErr == nil) != (err == nil) {
-			t.Fatalf("error mismatch:\n  parallel:   %v\n  sequential: %v", err, wantErr)
+			t.Fatalf("error mismatch:\n  chunked:    %v\n  sequential: %v", err, wantErr)
 		}
 		if wantErr != nil {
 			if err.Error() != wantErr.Error() {
-				t.Fatalf("error text mismatch:\n  parallel:   %v\n  sequential: %v", err, wantErr)
+				t.Fatalf("error text mismatch:\n  chunked:    %v\n  sequential: %v", err, wantErr)
 			}
 			return
 		}

@@ -10,8 +10,10 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 
+	"clusteragg/internal/core"
 	"clusteragg/internal/partition"
 )
 
@@ -132,7 +134,7 @@ func (t *Table) CategoricalColumns() []*Column {
 func (t *Table) Clusterings() ([]partition.Labels, error) {
 	cats := t.CategoricalColumns()
 	if len(cats) == 0 {
-		return nil, fmt.Errorf("dataset: table %q has no categorical columns", t.Name)
+		return nil, t.errNoCategorical()
 	}
 	out := make([]partition.Labels, len(cats))
 	for i, c := range cats {
@@ -143,6 +145,43 @@ func (t *Table) Clusterings() ([]partition.Labels, error) {
 		out[i] = labels
 	}
 	return out, nil
+}
+
+// PackedProblem builds the aggregation problem straight from the table's
+// categorical columns through the width-packed column builder: each
+// attribute's labels stream into the packed arena one column at a time, so
+// the per-attribute []int clusterings are garbage as soon as they are
+// appended instead of staying resident for the whole run. The problem is
+// identical to core.NewProblem over Clusterings().
+func (t *Table) PackedProblem() (*core.Problem, error) {
+	cats := t.CategoricalColumns()
+	if len(cats) == 0 {
+		return nil, t.errNoCategorical()
+	}
+	b := core.NewPackedColumns(t.N(), len(cats))
+	for _, c := range cats {
+		labels, err := c.Clustering()
+		if err != nil {
+			return nil, err
+		}
+		if err := b.AppendColumn(labels); err != nil {
+			return nil, err
+		}
+	}
+	pc, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewProblemPacked(pc, core.ProblemOptions{})
+}
+
+// errNoCategorical reports a table with nothing to cluster, naming the
+// table only when it has a name.
+func (t *Table) errNoCategorical() error {
+	if t.Name == "" {
+		return errors.New("dataset: table has no categorical columns")
+	}
+	return fmt.Errorf("dataset: table %q has no categorical columns", t.Name)
 }
 
 // MissingTotal returns the total number of missing entries across all

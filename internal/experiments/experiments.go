@@ -52,7 +52,7 @@ type Config struct {
 	// Zero means 200k → 1M → 10M.
 	HugeSizes []int
 	// HugeCSVRows sizes the "huge" artifact's CSV end-to-end row (planted
-	// CSV on disk → aggregate labels, sequential vs pipelined ingest).
+	// CSV on disk → aggregate labels, drain vs pipelined ingest).
 	// Zero runs the default 1M rows when the default ladder runs, and skips
 	// the row when HugeSizes is overridden (tests use small ladders);
 	// negative always skips.

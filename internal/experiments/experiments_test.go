@@ -329,7 +329,7 @@ func TestIngestThroughput(t *testing.T) {
 }
 
 // TestIngestThroughputSharded crosses the (shrunken) shard target so the
-// sequential, parallel, and pipelined modes all run the sharded tree — the
+// drain and pipelined modes both run the sharded tree — the
 // label-equality check inside IngestThroughput is the real assertion.
 func TestIngestThroughputSharded(t *testing.T) {
 	cfg := fastCfg()

@@ -77,14 +77,13 @@ type HugeResult struct {
 const hugeCSVRows = 1_000_000
 
 // HugeCSVPoint is the CSV end-to-end row of the huge artifact: a planted
-// CSV written to a temp file, then clustered twice — once through the
-// sequential one-pass reader (read everything, then sample) and once
-// through the pipelined chunked reader (8 parsers streaming rows into the
-// sampling tree). The two runs must produce identical labels; the gated
+// CSV written to a temp file, then clustered twice — once draining the
+// chunked reader (read everything, then sample) and once pipelined (8
+// parsers streaming rows into the sampling tree). The two runs must produce identical labels; the gated
 // facts are the deterministic ones (rows, bytes, shard count, cluster
 // count, Rand index) plus the ratio-budgeted pipelined-run allocation.
 // Wall times carry benchdiff-ignored suffixes: on a single-core runner the
-// parallel modes cannot beat sequential, so timing is recorded, not gated.
+// pipeline cannot overlap anything, so timing is recorded, not gated.
 type HugeCSVPoint struct {
 	N      int
 	Bytes  int64
@@ -92,9 +91,9 @@ type HugeCSVPoint struct {
 	KFound int
 	// Rand is the Rand index against the planted truth from the class
 	// column (O(n); Disagreement is O(n²) and must never run here).
-	Rand         float64
-	SeqDuration  time.Duration
-	PipeDuration time.Duration
+	Rand          float64
+	DrainDuration time.Duration
+	PipeDuration  time.Duration
 	// AllocBytes is the heap allocated across the pipelined run (TotalAlloc
 	// delta); benchdiff ratio-gates it as csv:alloc_bytes.
 	AllocBytes uint64
@@ -210,8 +209,8 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		}
 		res.CSV = p
 		if !cfg.Quiet {
-			fmt.Printf("  huge: csv n=%d done in %.2fs sequential / %.2fs pipelined (shards=%d k=%d rand=%.4f alloc=%.1fMB)\n",
-				p.N, p.SeqDuration.Seconds(), p.PipeDuration.Seconds(), p.Shards, p.KFound, p.Rand,
+			fmt.Printf("  huge: csv n=%d done in %.2fs drain / %.2fs pipelined (shards=%d k=%d rand=%.4f alloc=%.1fMB)\n",
+				p.N, p.DrainDuration.Seconds(), p.PipeDuration.Seconds(), p.Shards, p.KFound, p.Rand,
 				float64(p.AllocBytes)/(1<<20))
 		}
 	}
@@ -219,7 +218,7 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 }
 
 // hugeCSV runs the CSV end-to-end row: stream a planted CSV to a temp file,
-// cluster it through the sequential and the pipelined ingest paths, verify
+// cluster it through the drain and the pipelined ingest paths, verify
 // the labels agree, and measure the pipelined run's allocation. Only the
 // pipelined run records into cfg.Recorder, so the artifact's ingest and
 // shard counters describe one pipelined pass.
@@ -259,10 +258,10 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 		return fn(bufio.NewReaderSize(in, 1<<20))
 	}
 
-	var seqLabels partition.Labels
-	p.SeqDuration, err = timeIt(func() error {
+	var drainLabels partition.Labels
+	p.DrainDuration, err = timeIt(func() error {
 		return runFrom(func(r io.Reader) (e error) {
-			seqLabels, _, e = ingestDrain(r, 0, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
+			drainLabels, _, e = ingestDrain(r, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
 			return e
 		})
 	})
@@ -282,7 +281,7 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	var pipeBytes int64
 	p.PipeDuration, err = timeIt(func() error {
 		return runFrom(func(r io.Reader) (e error) {
-			pipeLabels, class, pipeBytes, e = ingestPipeline(r, ingestWorkersN,
+			pipeLabels, class, pipeBytes, e = ingestPipeline(r,
 				core.AggregateOptions{Workers: cfg.Workers, Recorder: rec}, sOpts())
 			return e
 		})
@@ -301,8 +300,8 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	if p.Shards == 0 {
 		p.Shards = 1 // single-level: no shard counters recorded
 	}
-	if !slices.Equal(seqLabels, pipeLabels) {
-		return nil, fmt.Errorf("huge: csv labels diverge between sequential and pipelined ingest")
+	if !slices.Equal(drainLabels, pipeLabels) {
+		return nil, fmt.Errorf("huge: csv labels diverge between drain and pipelined ingest")
 	}
 	if pipeBytes != p.Bytes {
 		return nil, fmt.Errorf("huge: pipelined ingest consumed %d bytes, want %d", pipeBytes, p.Bytes)
@@ -326,8 +325,8 @@ func (r *HugeResult) String() string {
 			float64(p.AllocBytes)/(1<<20), p.Rand)
 	}
 	if c := r.CSV; c != nil {
-		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): sequential %.2fs, pipelined×%d %.2fs, shards=%d, k=%d, alloc=%.1fMB, RI=%.4f\n",
-			c.N, float64(c.Bytes)/(1<<20), c.SeqDuration.Seconds(), ingestWorkersN,
+		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): drain×%d %.2fs, pipelined×%d %.2fs, shards=%d, k=%d, alloc=%.1fMB, RI=%.4f\n",
+			c.N, float64(c.Bytes)/(1<<20), ingestWorkersN, c.DrainDuration.Seconds(), ingestWorkersN,
 			c.PipeDuration.Seconds(), c.Shards, c.KFound, float64(c.AllocBytes)/(1<<20), c.Rand)
 	}
 	return b.String()

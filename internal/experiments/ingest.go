@@ -14,25 +14,24 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// This file is the "ingest" artifact: the parallel chunked CSV reader and
-// the ingest/compute pipeline measured end to end (CSV bytes → aggregate
-// labels) in three modes — sequential one-pass read, chunked parallel read,
-// and the pipelined path where shard aggregation starts while later chunks
-// are still being parsed. The three modes must produce identical labels
-// (the run errors out otherwise), so the artifact's gated rows are the
+// This file is the "ingest" artifact: the chunked CSV reader and the
+// ingest/compute pipeline measured end to end (CSV bytes → aggregate
+// labels) in two modes — drain (read the whole table, then sample) and the
+// pipelined path where shard aggregation starts while later chunks are
+// still being parsed. The two modes must produce identical labels (the run
+// errors out otherwise), so the artifact's gated rows are the
 // deterministic facts: row/byte counts, the resolved shard count, the
 // cluster count, and the Rand index against the planted truth. All wall
 // times carry benchdiff-ignored suffixes (seconds, time_ratio, throughput):
 // they are recorded for the PERFORMANCE.md table, not gated — single-core
 // CI machines cannot hold a parallelism ratio.
 
-// ingestWorkersN is the chunk-parser count of the parallel and pipelined
-// modes; the sequential mode is the workers=0 historical reader.
+// ingestWorkersN is the chunk-parser count of both modes.
 const ingestWorkersN = 8
 
 // ingestShardTarget shrinks the auto-shard row target for this artifact so
 // the sharded pipeline genuinely engages at artifact scale (the production
-// 2^20-row target would run everything single-level); all three modes run
+// 2^20-row target would run everything single-level); both modes run
 // under the same target, so equivalence is still exercised end to end.
 const ingestShardTarget = 8192
 
@@ -52,7 +51,7 @@ type IngestResult struct {
 	// carried by the class column.
 	Rand float64
 	// Per-mode end-to-end wall times (CSV bytes → labels).
-	Seq, Parallel, Pipelined time.Duration
+	Drain, Pipelined time.Duration
 }
 
 // plantedCSVTo streams the huge recipe as CSV: a header row, then n rows of
@@ -97,37 +96,14 @@ func plantedCSVTo(w io.Writer, n int, seed int64) error {
 	return nil
 }
 
-// ingestDrain is the drain-then-compute path: read the whole CSV (the
-// sequential one-pass reader at workers=0, the chunked parallel reader
-// otherwise), pack the categorical columns, and run sharded SAMPLING.
-func ingestDrain(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, error) {
-	dopts := dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers}
-	var t *dataset.Table
-	var err error
-	if workers > 0 {
-		t, err = dataset.ReadCSVParallel(r, dopts)
-	} else {
-		t, err = dataset.ReadCSV(r, dopts)
-	}
+// ingestDrain is the drain-then-compute path: read the whole CSV, pack the
+// categorical columns, and run sharded SAMPLING.
+func ingestDrain(r io.Reader, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, error) {
+	t, err := dataset.ReadCSV(r, dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: ingestWorkersN})
 	if err != nil {
 		return nil, nil, err
 	}
-	cats := t.CategoricalColumns()
-	b := core.NewPackedColumns(t.N(), len(cats))
-	for _, c := range cats {
-		col, err := c.Clustering()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := b.AppendColumn(col); err != nil {
-			return nil, nil, err
-		}
-	}
-	pc, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := core.NewProblemPacked(pc, core.ProblemOptions{})
+	p, err := t.PackedProblem()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,10 +140,10 @@ func (s *ingestFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
 // ingestPipeline is the pipelined path: chunk-parsed rows stream straight
 // into the sharded sampling tree, so shard aggregation overlaps the parsing
 // of later chunks.
-func ingestPipeline(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
+func ingestPipeline(r io.Reader, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
 	sink := &ingestFeedSink{aggOpts: aggOpts, sOpts: sOpts}
 	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
-		Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers,
+		Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: ingestWorkersN,
 	}, sink)
 	if err != nil {
 		return nil, nil, 0, err
@@ -176,10 +152,10 @@ func ingestPipeline(r io.Reader, workers int, aggOpts core.AggregateOptions, sOp
 	return labels, sink.class, st.Bytes, err
 }
 
-// IngestThroughput runs the three ingest modes over the same in-memory CSV
-// and verifies they agree label for label. Only the pipelined run records
-// into cfg.Recorder, so the artifact's counters describe one pipelined pass
-// (ingest.rows / ingest.bytes / sample.shards...), not a triple-counted sum.
+// IngestThroughput runs both ingest modes over the same in-memory CSV and
+// verifies they agree label for label. Only the pipelined run records into
+// cfg.Recorder, so the artifact's counters describe one pipelined pass
+// (ingest.rows / ingest.bytes / sample.shards...), not a double-counted sum.
 func IngestThroughput(cfg Config) (*IngestResult, error) {
 	n := cfg.ingestRows()
 	restore := core.SetShardTarget(ingestShardTarget)
@@ -199,17 +175,10 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 		return core.SamplingOptions{SampleSize: ingestSampleSize, Rand: rand.New(rand.NewSource(cfg.seed()))}
 	}
 
-	var seqLabels, parLabels, pipeLabels, class partition.Labels
+	var drainLabels, pipeLabels, class partition.Labels
 	var err error
-	res.Seq, err = timeIt(func() (e error) {
-		seqLabels, class, e = ingestDrain(bytes.NewReader(data), 0, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Parallel, err = timeIt(func() (e error) {
-		parLabels, _, e = ingestDrain(bytes.NewReader(data), ingestWorkersN, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
+	res.Drain, err = timeIt(func() (e error) {
+		drainLabels, class, e = ingestDrain(bytes.NewReader(data), core.AggregateOptions{Workers: cfg.Workers}, sOpts())
 		return e
 	})
 	if err != nil {
@@ -217,7 +186,7 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 	}
 	var pipeBytes int64
 	res.Pipelined, err = timeIt(func() (e error) {
-		pipeLabels, _, pipeBytes, e = ingestPipeline(bytes.NewReader(data), ingestWorkersN,
+		pipeLabels, _, pipeBytes, e = ingestPipeline(bytes.NewReader(data),
 			core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder}, sOpts())
 		return e
 	})
@@ -227,8 +196,8 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 	cfg.Recorder.Add("ingest.rows", int64(n))
 	cfg.Recorder.Add("ingest.bytes", pipeBytes)
 
-	if !slices.Equal(seqLabels, parLabels) || !slices.Equal(seqLabels, pipeLabels) {
-		return nil, fmt.Errorf("ingest: labels diverge across ingest modes (seq/parallel/pipelined)")
+	if !slices.Equal(drainLabels, pipeLabels) {
+		return nil, fmt.Errorf("ingest: labels diverge between drain and pipelined ingest")
 	}
 	if pipeBytes != res.Bytes {
 		return nil, fmt.Errorf("ingest: pipelined path consumed %d bytes, want %d", pipeBytes, res.Bytes)
@@ -252,8 +221,7 @@ func (r *IngestResult) String() string {
 		}
 		return float64(r.Bytes) / (1 << 20) / d.Seconds()
 	}
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", "sequential", r.Seq.Seconds(), mbps(r.Seq))
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("parallel×%d", ingestWorkersN), r.Parallel.Seconds(), mbps(r.Parallel))
+	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("drain×%d", ingestWorkersN), r.Drain.Seconds(), mbps(r.Drain))
 	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("pipelined×%d", ingestWorkersN), r.Pipelined.Seconds(), mbps(r.Pipelined))
 	fmt.Fprintf(&b, "labels identical across modes; clusters=%d, Rand index vs planted truth=%.4f\n",
 		r.Clusters, r.Rand)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -14,19 +13,20 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the opt-in HTTP exposition of a Recorder: Prometheus text on
-// /metrics, the process's expvar JSON on /debug/vars, and the runtime/pprof
-// handlers on /debug/pprof/. Nothing here runs unless Serve is called (the
-// CLIs' -listen flag), so a run without it pays nothing. A scrape locks the
-// registry only against concurrent metric *registration* — metric writes
-// are plain atomic ops that take no lock and are never blocked by a scrape
-// — and reads every value in a single pass of atomic loads, so a snapshot
-// is consistent per metric and costs the instrumented run nothing.
+// /metrics, JSON views on /series, /runtime and /logs, and the
+// runtime/pprof handlers on /debug/pprof/. The recorder-backed endpoints
+// read only their own server's recorder; there is no process-global
+// registry. Nothing here runs unless Serve is called (the CLIs' -listen
+// flag), so a run without it pays nothing. A scrape locks the registry only
+// against concurrent metric *registration* — metric writes are plain atomic
+// ops that take no lock and are never blocked by a scrape — and reads every
+// value in a single pass of atomic loads, so a snapshot is consistent per
+// metric and costs the instrumented run nothing.
 
 // MetricsServer is a live metrics endpoint bound to a Recorder. The bound
 // recorder is swappable (SetRecorder), so a process that uses one recorder
@@ -41,15 +41,6 @@ type MetricsServer struct {
 	// hold a scrape in flight across Close.
 	scrapeDelay atomic.Pointer[func()]
 }
-
-// expvarOnce guards the process-global expvar publication: expvar.Publish
-// panics on duplicate names, and tests start several servers.
-var (
-	expvarOnce sync.Once
-	// expvarServer is the most recently started server; the published
-	// expvar Func snapshots its current recorder.
-	expvarServer atomic.Pointer[MetricsServer]
-)
 
 // Serve starts an HTTP server on addr (host:port; ":0" picks a free port)
 // exposing rec. Endpoints:
@@ -67,8 +58,6 @@ var (
 //	              /runtime, and /logs (no external assets)
 //	/healthz      liveness: 200 with {"status", "uptime_seconds"}
 //	/buildinfo    Go version, module path, and VCS revision of the binary
-//	/debug/vars   expvar JSON (cmdline, memstats, and a "clusteragg" var
-//	              holding the recorder's counters and gauges)
 //	/debug/pprof/ the standard runtime profiling handlers
 //
 // It returns once the listener is bound; requests are served on a
@@ -126,27 +115,11 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 		w.Header().Set("Content-Type", "application/json")
 		writeJSONBody(w, buildInfo())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	expvarServer.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("clusteragg", expvar.Func(func() any {
-			srv := expvarServer.Load()
-			if srv == nil {
-				return nil
-			}
-			rec := srv.Recorder()
-			return map[string]any{
-				"counters": rec.Counters(),
-				"gauges":   rec.Gauges(),
-			}
-		}))
-	})
 
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck // Close's ErrServerClosed is expected

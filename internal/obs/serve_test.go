@@ -60,32 +60,53 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestServeDebugVars(t *testing.T) {
-	rec := New()
-	rec.Add("sample.size", 42)
-	rec.SetGauge("live", 1.5)
-	s, err := Serve("127.0.0.1:0", rec)
+// TestServeTwoServersIsolated: two live servers in one process each expose
+// only their own recorder — no process-global state leaks one run's metrics
+// into the other's endpoint, before or after the other closes — and there
+// is no /debug/vars (expvar) endpoint.
+func TestServeTwoServersIsolated(t *testing.T) {
+	recA, recB := New(), New()
+	recA.Add("x", 1)
+	recA.Add("a.only", 1)
+	recB.Add("x", 2)
+	recB.Add("b.only", 1)
+	a, err := Serve("127.0.0.1:0", recA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	code, body := get(t, s, "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
+	defer a.Close()
+	b, err := Serve("127.0.0.1:0", recB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var vars struct {
-		Clusteragg struct {
-			Counters map[string]int64   `json:"counters"`
-			Gauges   map[string]float64 `json:"gauges"`
-		} `json:"clusteragg"`
+	check := func(name string, s *MetricsServer, want, notWant []string) {
+		t.Helper()
+		code, body := get(t, s, "/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("%s: /metrics status %d", name, code)
+		}
+		for _, w := range want {
+			if !strings.Contains(body, w+"\n") {
+				t.Errorf("%s: /metrics missing %q:\n%s", name, w, body)
+			}
+		}
+		for _, w := range notWant {
+			if strings.Contains(body, w+"\n") {
+				t.Errorf("%s: /metrics carries the other server's %q:\n%s", name, w, body)
+			}
+		}
+		if code, _ := get(t, s, "/debug/vars"); code != http.StatusNotFound {
+			t.Errorf("%s: /debug/vars status %d, want 404", name, code)
+		}
 	}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
+	aWant := []string{"clusteragg_x_total 1", "clusteragg_a_only_total 1"}
+	bWant := []string{"clusteragg_x_total 2", "clusteragg_b_only_total 1"}
+	check("A", a, aWant, bWant)
+	check("B", b, bWant, aWant)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if vars.Clusteragg.Counters["sample.size"] != 42 || vars.Clusteragg.Gauges["live"] != 1.5 {
-		t.Errorf("clusteragg expvar = %+v", vars.Clusteragg)
-	}
+	check("A after B closed", a, aWant, bWant)
 }
 
 func TestServePprofIndex(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"clusteragg"
 	"clusteragg/internal/core"
+	"clusteragg/internal/dataset"
 	"clusteragg/internal/obs"
 )
 
@@ -60,11 +61,48 @@ func sameResult(t *testing.T, name string, got, want *clusteragg.CSVResult) {
 	}
 }
 
-// TestAggregateCSVPipelinedEquiv: the pipelined ingest path (parallel
-// chunked reader streaming into the sharded sampling tree) must reproduce
-// the read-everything-first path bit for bit — labels, class column, costs,
-// and byte counts — at every ingest worker count, in the auto-sharded,
-// explicit-shard, and seeded configurations.
+// drainCSV is the read-everything-first reference for a sampled
+// AggregateCSV run: read the whole table, pack it, run Problem.Sample with
+// the same seed, and score the labels the way the facade does.
+func drainCSV(t *testing.T, csv string, o clusteragg.CSVOptions) *clusteragg.CSVResult {
+	t.Helper()
+	tab, err := dataset.ReadCSV(strings.NewReader(csv), dataset.CSVOptions{HasHeader: o.HasHeader, ClassColumn: o.ClassColumn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tab.PackedProblem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := o.SampleSeed
+	if seed == 0 {
+		seed = 1
+	}
+	labels, err := p.Sample(o.Method, o.Options, core.SamplingOptions{
+		SampleSize: o.SampleSize,
+		Shards:     max(o.Shards, 0), // CSVOptions' negative = auto
+		Rand:       rand.New(rand.NewSource(seed)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &clusteragg.CSVResult{
+		Labels:       labels,
+		Class:        tab.Class,
+		Disagreement: p.Disagreement(labels),
+		LowerBound:   p.LowerBound(),
+		Attributes:   p.M(),
+		Rows:         tab.N(),
+		BytesRead:    tab.BytesRead,
+	}
+}
+
+// TestAggregateCSVPipelinedEquiv: the pipelined ingest path (chunked reader
+// streaming into the sharded sampling tree) must reproduce the
+// read-everything-first path bit for bit — labels, class column, costs, and
+// byte counts — at every ingest worker count, in the auto-sharded,
+// explicit-shard, shards-only (explicit and auto-sized) and seeded
+// configurations.
 func TestAggregateCSVPipelinedEquiv(t *testing.T) {
 	defer core.SetShardTarget(64)()
 	csv := pipelineCSV(500)
@@ -75,6 +113,7 @@ func TestAggregateCSVPipelinedEquiv(t *testing.T) {
 		{"auto-shards", func(o *clusteragg.CSVOptions) { o.SampleSize = 30 }},
 		{"explicit-shards", func(o *clusteragg.CSVOptions) { o.SampleSize = 25; o.Shards = 3 }},
 		{"shards-only", func(o *clusteragg.CSVOptions) { o.Shards = 2 }},
+		{"auto-shards-only", func(o *clusteragg.CSVOptions) { o.Shards = -1 }},
 		{"seeded", func(o *clusteragg.CSVOptions) { o.SampleSize = 30; o.SampleSeed = 7 }},
 	}
 	for _, tc := range cases {
@@ -89,19 +128,20 @@ func TestAggregateCSVPipelinedEquiv(t *testing.T) {
 				tc.mod(&o)
 				return o
 			}
-			want := runCSV(t, csv, mk(0))
+			want := drainCSV(t, csv, mk(0))
 			if want.Rows != 500 || int(want.BytesRead) != len(csv) {
-				t.Fatalf("sequential read %d rows / %d bytes, want 500 / %d", want.Rows, want.BytesRead, len(csv))
+				t.Fatalf("drain read %d rows / %d bytes, want 500 / %d", want.Rows, want.BytesRead, len(csv))
 			}
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []int{0, 1, 2, 8} {
 				sameResult(t, fmt.Sprintf("ingest-workers=%d", workers), runCSV(t, csv, mk(workers)), want)
 			}
 		})
 	}
 }
 
-// TestAggregateCSVParallelIngestExact: outside SAMPLING the parallel reader
-// feeds the classic drain-then-aggregate path and must change nothing.
+// TestAggregateCSVParallelIngestExact: outside SAMPLING the reader feeds the
+// classic drain-then-aggregate path, and the chunk-parser count must change
+// nothing.
 func TestAggregateCSVParallelIngestExact(t *testing.T) {
 	csv := pipelineCSV(120)
 	mk := func(ingest int) clusteragg.CSVOptions {
@@ -167,23 +207,28 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 }
 
 // TestAggregateCSVPipelinedErrors: error cases must surface through the
-// pipelined path exactly as through the sequential one.
+// pipelined (sampled) route exactly as through the exact drain route, and
+// never name a table — the facade reads an unnamed one, so a name in the
+// message could only be an empty "".
 func TestAggregateCSVPipelinedErrors(t *testing.T) {
 	for _, tc := range []struct{ name, csv string }{
 		{"empty", ""},
 		{"numeric-only", "1\n2\n3\n"},
 		{"ragged", "a,b\nx\ny,q\n"},
 	} {
-		seqOpts := clusteragg.CSVOptions{SampleSize: 10}
+		exactOpts := clusteragg.CSVOptions{IngestWorkers: 2}
 		pipeOpts := clusteragg.CSVOptions{SampleSize: 10, IngestWorkers: 2}
-		_, seqErr := clusteragg.AggregateCSV(strings.NewReader(tc.csv), seqOpts)
+		_, exactErr := clusteragg.AggregateCSV(strings.NewReader(tc.csv), exactOpts)
 		_, pipeErr := clusteragg.AggregateCSV(strings.NewReader(tc.csv), pipeOpts)
-		if seqErr == nil || pipeErr == nil {
-			t.Errorf("%s: errors = %v / %v, want both non-nil", tc.name, seqErr, pipeErr)
+		if exactErr == nil || pipeErr == nil {
+			t.Errorf("%s: errors = %v / %v, want both non-nil", tc.name, exactErr, pipeErr)
 			continue
 		}
-		if seqErr.Error() != pipeErr.Error() {
-			t.Errorf("%s: pipelined error %q, sequential %q", tc.name, pipeErr, seqErr)
+		if exactErr.Error() != pipeErr.Error() {
+			t.Errorf("%s: pipelined error %q, exact %q", tc.name, pipeErr, exactErr)
+		}
+		if strings.Contains(exactErr.Error(), `""`) || strings.Contains(pipeErr.Error(), `""`) {
+			t.Errorf("%s: error names an empty table: %q / %q", tc.name, exactErr, pipeErr)
 		}
 	}
 }
