@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race test-race check cover bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-widths fuzz-ingest clean
+.PHONY: all build test vet lint race test-race check cover bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-objective fuzz-widths fuzz-ingest clean
 
 all: build test
 
@@ -94,8 +94,9 @@ bench-short:
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
 # paths (pooled assignment scratch, kernel distance rows, packed label
 # accessors, CSV interning) hold their zero-/constant-allocation steady
-# state. Part of `make check`; any new per-object allocation fails here
-# before it shows up as a benchdiff alloc regression.
+# state, plus byte budgets for the objective (TestObjectiveAllocs). Part of
+# `make check`; any new per-object allocation fails here before it shows up
+# as a benchdiff alloc regression.
 bench-mem:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/dataset/ ./internal/obs/
 
@@ -136,6 +137,12 @@ fuzz-localsearch:
 # test-side probeDist oracle (a plain per-clustering walk over the labels).
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
+
+# Fuzz the contingency-count Disagreement and the distinct-row LowerBound
+# against the test-side pair scans over probeDist, across missing modes,
+# weights, label widths, labelings, and lower-bound worker counts.
+fuzz-objective:
+	$(GO) test -run FuzzObjective -fuzz FuzzObjective -fuzztime 30s ./internal/core/
 
 # Fuzz the width-packed label blocks: uint8/uint16 must be bit-identical to
 # the forced-int32 kernel on the same instance.

@@ -207,11 +207,12 @@ func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	d, lb := core.Evaluate(problem, labels, opts.Options.Workers, rec)
 	return &CSVResult{
 		Labels:       labels,
 		Class:        t.Class,
-		Disagreement: problem.Disagreement(labels),
-		LowerBound:   problem.LowerBound(),
+		Disagreement: d,
+		LowerBound:   lb,
 		Attributes:   problem.M(),
 		Rows:         t.N(),
 		BytesRead:    t.BytesRead,
@@ -317,10 +318,11 @@ func aggregateCSVPipelined(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 		return nil, err
 	}
 	problem := sink.feed.Problem()
+	d, lb := core.Evaluate(problem, labels, opts.Options.Workers, rec)
 	res := &CSVResult{
 		Labels:       labels,
-		Disagreement: problem.Disagreement(labels),
-		LowerBound:   problem.LowerBound(),
+		Disagreement: d,
+		LowerBound:   lb,
 		Attributes:   problem.M(),
 		Rows:         st.Rows,
 		BytesRead:    st.Bytes,

@@ -346,10 +346,7 @@ func run(path string, cfg cliConfig) error {
 			return err
 		}
 
-		evalSpan := rec.Start("evaluate")
-		disagreement = problem.Disagreement(labels)
-		lowerBound = problem.LowerBound()
-		evalSpan.End()
+		disagreement, lowerBound = core.Evaluate(problem, labels, opts.Workers, rec)
 		n, mAttrs, classLabels = tab.N(), problem.M(), tab.Class
 	}
 	if lowerBound > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"clusteragg/internal/partition"
@@ -103,4 +104,51 @@ func TestPackedUnpackAllocs(t *testing.T) {
 	pinAllocs(t, "view", 1, func() {
 		_ = pc.view(64, 192)
 	})
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call (worker goroutines' allocations included).
+func allocBytes(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestObjectiveAllocs pins the objective's memory: Disagreement allocates
+// O(n + k + L) bytes (buckets, one gathered column, one label tally) and
+// LowerBound O(n + workers·d) bytes for d distinct rows (an int32
+// permutation sort plus an m-byte copy of each row) — never a per-pair
+// buffer, a per-row string key, or a per-clustering table.
+func TestObjectiveAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1403))
+	const n, m, k = 4000, 6, 40
+	p := randMixedProblem(t, rng, n, m, 0.05, ProblemOptions{})
+	labels := make(partition.Labels, n)
+	for v := range labels {
+		labels[v] = rng.Intn(k)
+	}
+	lk := p.kernel()
+	var bound int
+	for _, b := range lk.maxLab {
+		bound = max(bound, int(b))
+	}
+	want := uint64(16*(n+k+bound) + 4096)
+	if got := allocBytes(5, func() { p.Disagreement(labels) }); got > want {
+		t.Errorf("Disagreement allocates %d bytes, want ≤ %d = O(n + k + L)", got, want)
+	}
+	d := len(func() []int32 { _, _, cnt := distinctRows(lk.lab8, lk.hasMiss, n, m); return cnt }())
+	if d < n/4 {
+		t.Fatalf("only %d distinct rows; the instance does not exercise the row dedup", d)
+	}
+	for _, workers := range []int{1, 4} {
+		want := uint64(12*n + 8*workers*d + 8192)
+		if got := allocBytes(3, func() { lk.lowerBound(nil, workers) }); got > want {
+			t.Errorf("LowerBound at %d workers allocates %d bytes (d=%d), want ≤ %d = O(n + workers·d)", workers, got, d, want)
+		}
+	}
 }

@@ -5,16 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
-// slowBest is the reference O(m²·n²) implementation.
+// slowBest is the reference O(m²·n²) implementation, scoring every
+// candidate with the test-side pair scan over probeDist.
 func slowBest(p *Problem) (partition.Labels, int, float64) {
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
 	for i, c := range p.Clusterings() {
 		cand := completeMissing(c)
-		d := p.Disagreement(cand)
+		d := scanDisagreement(p, cand)
 		if bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
@@ -47,10 +49,11 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.fastBestApplicable() {
-			t.Fatal("fast path should apply to missing-free inputs")
+		rec := obs.New()
+		fastL, fastI, fastD := p.bestClustering(rec, 0)
+		if probes := rec.Counters()["bestclustering.dist_probes"]; probes != 0 {
+			t.Fatalf("trial %d: missing-free inputs took the pair scan (%d probes)", trial, probes)
 		}
-		fastL, fastI, fastD := p.BestClustering()
 		slowL, slowI, slowD := slowBest(p)
 		if math.Abs(fastD-slowD) > 1e-6 {
 			t.Fatalf("trial %d: fast D %v != slow D %v", trial, fastD, slowD)
@@ -77,14 +80,28 @@ func TestBestClusteringMissingUsesSlowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.fastBestApplicable() {
-		t.Fatal("fast path must not apply with missing values")
+	labels, idx, d := p.BestClustering()
+	if _, wantIdx, wantD := slowBest(p); idx != wantIdx || math.Abs(d-wantD) > 1e-9 {
+		t.Fatalf("BestClustering picked %d (%v), the pair scan %d (%v)", idx, d, wantIdx, wantD)
 	}
-	labels, _, _ := p.BestClustering()
 	for _, l := range labels {
 		if l == partition.Missing {
 			t.Fatal("missing label leaked into result")
 		}
+	}
+	// MissingAverage has no per-clustering decomposition: with missing
+	// labels present, its candidates take the pair scan.
+	avg, err := NewProblem(p.Clusterings(), ProblemOptions{MissingMode: MissingAverage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	_, idx, d = avg.bestClustering(rec, 0)
+	if _, wantIdx, wantD := slowBest(avg); idx != wantIdx || math.Abs(d-wantD) > 1e-9 {
+		t.Fatalf("MissingAverage: BestClustering picked %d (%v), the pair scan %d (%v)", idx, d, wantIdx, wantD)
+	}
+	if rec.Counters()["bestclustering.dist_probes"] == 0 {
+		t.Error("MissingAverage with missing labels did not take the pair scan")
 	}
 }
 
@@ -109,8 +126,8 @@ func BenchmarkBestClusteringFast(b *testing.B) {
 	}
 }
 
-// TestBestClusteringWorkersIdentical: the parallel pairwise-distance table
-// in bestClusteringFast must yield the same labels, index, and disagreement
+// TestBestClusteringWorkersIdentical: scoring the candidates on parallel
+// workers must yield the same labels, index, and disagreement
 // for every worker count — the reduction runs sequentially in input order,
 // preserving tie-breaking by index.
 func TestBestClusteringWorkersIdentical(t *testing.T) {

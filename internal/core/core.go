@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"clusteragg/internal/corrclust"
@@ -211,26 +210,6 @@ func (p *Problem) Clusterings() []partition.Labels { return p.labelViews() }
 // carry over and the algorithms apply as heuristics.
 func (p *Problem) Dist(u, v int) float64 { return p.kernel().Dist(u, v) }
 
-// Disagreement returns the (expected) total number of unordered-pair
-// disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
-// is the objective of Problem 1 on the unordered-pair scale; the paper's
-// ordered-pair figure is exactly twice this value.
-//
-// The O(n²) pair scan runs over the columnar label kernel — bit-identical
-// distances evaluated as contiguous label compares instead of per-pair
-// interface probes — so evaluating a solution never materializes a matrix.
-func (p *Problem) Disagreement(labels partition.Labels) float64 {
-	return p.totalWeight * corrclust.Cost(p.kernel(), labels)
-}
-
-// LowerBound returns m · Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the
-// disagreement of every possible clustering (the "Lower bound" rows of
-// Tables 2 and 3). Like Disagreement, it scans pairs through the columnar
-// label kernel, matrix-free.
-func (p *Problem) LowerBound() float64 {
-	return p.totalWeight * corrclust.LowerBound(p.kernel())
-}
-
 // completeMissing returns labels with every Missing entry replaced by a
 // fresh singleton cluster, making an attribute-derived clustering usable as
 // a candidate solution.
@@ -257,120 +236,38 @@ func completeMissing(labels partition.Labels) partition.Labels {
 // completed as singleton clusters. The result is a 2(1−1/m)-approximation of
 // the optimal aggregation.
 //
-// On inputs without missing values (and uniform weights under the coin
-// model's expectations not being needed), the disagreements are computed
-// through pairwise contingency tables in O(m²·(n + k²)) — the near-linear
-// regime the paper attributes to the Barthélemy–Leclerc data structures —
-// instead of the O(m²·n²) pair scan. The m(m−1)/2 pairwise Mirkin
-// distances are integers computed independently, so the table fills on
-// worker goroutines (GOMAXPROCS here; AggregateOptions.Workers through
-// Aggregate) and the reduction runs sequentially in index order — the
-// result is identical for every worker count.
+// Every candidate is scored by Disagreement, so the selection takes
+// O(m²·n) from contingency counts — the near-linear regime the paper
+// attributes to the Barthélemy–Leclerc data structures — except under
+// MissingAverage with missing labels, where each candidate takes the pair
+// scan. The candidates are scored on worker goroutines (GOMAXPROCS here;
+// AggregateOptions.Workers through Aggregate) and compared sequentially in
+// index order, ties to the lower index, so every worker count returns the
+// same (labels, index, disagreement).
 func (p *Problem) BestClustering() (labels partition.Labels, index int, disagreement float64) {
 	return p.bestClustering(nil, 0)
 }
 
 // bestClustering is BestClustering with instrumentation and a worker cap
-// (0 = GOMAXPROCS): rec (may be nil) receives bestclustering.candidates,
-// bestclustering.fast_path, and — on the pairwise-scan path —
-// bestclustering.dist_probes.
+// (0 = GOMAXPROCS): rec (may be nil) receives bestclustering.candidates
+// and, on the pair-scan regime, bestclustering.dist_probes.
 func (p *Problem) bestClustering(rec *obs.Recorder, workers int) (labels partition.Labels, index int, disagreement float64) {
-	rec.Add("bestclustering.candidates", int64(p.M()))
-	if p.fastBestApplicable() {
-		rec.Add("bestclustering.fast_path", 1)
-		return p.bestClusteringFast(workers)
-	}
-	var inst corrclust.Instance = p.kernel()
-	if rec != nil {
-		inst = obs.Count(inst, rec.Counter("bestclustering.dist_probes"))
-	}
-	bestIdx, bestD := -1, 0.0
-	var best partition.Labels
-	for i, c := range p.labelViews() {
-		cand := completeMissing(c)
-		d := p.totalWeight * corrclust.Cost(inst, cand)
-		if bestIdx == -1 || d < bestD {
-			bestIdx, bestD, best = i, d, cand
-		}
-	}
-	return best, bestIdx, bestD
-}
-
-// fastBestApplicable reports whether the contingency-table shortcut computes
-// exactly the same objective as the pairwise scan: no missing values (the
-// coin model's expected disagreements have no contingency analogue).
-// Weights are fine — they scale each pairwise distance. The packing tracked
-// missing labels exactly, so no scan is needed.
-func (p *Problem) fastBestApplicable() bool { return !p.packed.anyMiss }
-
-// bestClusteringFast evaluates D(C_i) = Σ_j w_j·d_V(C_j, C_i) with Mirkin
-// distances from contingency tables. The distance table is symmetric, so
-// only the m(m−1)/2 pairs i<j are computed — striped over worker
-// goroutines, each pair an independent integer — and the weighted
-// reduction then runs sequentially over j in index order for each i, with
-// ties broken toward the lower index: the same additions and comparisons
-// as a fully sequential run, so every worker count returns the same
-// (labels, index, disagreement).
-func (p *Problem) bestClusteringFast(workers int) (partition.Labels, int, float64) {
 	cs := p.labelViews()
-	m := len(cs)
-	np := m * (m - 1) / 2
-	dist := make([]int, m*m)
-	fillPair := func(i, j int) {
-		dij, err := partition.Distance(cs[i], cs[j])
-		if err != nil {
-			// Unreachable: lengths were validated at construction.
-			panic(err)
-		}
-		dist[i*m+j], dist[j*m+i] = dij, dij
+	rec.Add("bestclustering.candidates", int64(len(cs)))
+	score := p.Disagreement
+	if lk := p.kernel(); lk.average && lk.anyMiss && rec != nil {
+		inst := obs.Count(lk, rec.Counter("bestclustering.dist_probes"))
+		score = func(labels partition.Labels) float64 { return p.totalWeight * corrclust.Cost(inst, labels) }
 	}
-	workers = effectiveWorkers(workers)
-	if workers > np {
-		workers = np
-	}
-	if workers <= 1 {
-		for i := 0; i < m; i++ {
-			for j := i + 1; j < m; j++ {
-				fillPair(i, j)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(stripe int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "bestclustering", Worker: strconv.Itoa(stripe)}, func() {
-					pi := 0
-					for i := 0; i < m; i++ {
-						for j := i + 1; j < m; j++ {
-							if pi%workers == stripe {
-								fillPair(i, j)
-							}
-							pi++
-						}
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	bestIdx, bestD := -1, 0.0
-	for i := 0; i < m; i++ {
-		var d float64
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			// The explicit float64 rounds the product before the add, which
-			// forbids a fused multiply-add (arm64, ppc64, s390x) and keeps
-			// the sum identical on every GOARCH.
-			d += float64(p.weight(j) * float64(dist[i*m+j]))
-		}
-		if bestIdx == -1 || d < bestD {
-			bestIdx, bestD = i, d
+	ds := make([]float64, len(cs))
+	parallelFor(len(cs), workers, "bestclustering", func(i int) {
+		ds[i] = score(completeMissing(cs[i]))
+	})
+	best := 0
+	for i, d := range ds {
+		if d < ds[best] {
+			best = i
 		}
 	}
-	return cs[bestIdx].Normalize(), bestIdx, bestD
+	return completeMissing(cs[best]), best, ds[best]
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clusteragg/internal/corrclust"
@@ -155,6 +156,34 @@ func EffectiveWorkers(w int) int {
 }
 
 func effectiveWorkers(w int) int { return EffectiveWorkers(w) }
+
+// parallelFor runs f(i) for every i in [0, n) on up to workers goroutines
+// (0 = GOMAXPROCS), each claiming the next index as it frees up, under the
+// given pprof phase label. f must write only to slots owned by i, so the
+// results do not depend on the worker count.
+func parallelFor(n, workers int, phase string, f func(i int)) {
+	workers = min(effectiveWorkers(workers), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			obs.Do(obs.ProfLabels{Phase: phase, Worker: strconv.Itoa(w)}, func() {
+				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+					f(i)
+				}
+			})
+		}(w)
+	}
+	wg.Wait()
+}
 
 // Aggregate runs the chosen aggregation method on the problem and returns
 // the aggregate clustering with normalized labels. The whole run carries

@@ -666,9 +666,10 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, method Method, ag
 	}
 	if rec := aggOpts.Recorder; rec != nil && len(singles) <= reclusterCap {
 		// Post-recluster quality: the disagreement cost of the re-aggregated
-		// singleton subset on its own sub-problem. Instrumentation-only and
-		// capped at reclusterCap objects, so the O(|singles|²) scan never
-		// touches the near-linear main path.
+		// singleton subset on its own sub-problem. Instrumentation-only, and
+		// O(|singles|·m) from contingency counts (a pair scan only under
+		// MissingAverage with missing labels, which the reclusterCap cap
+		// keeps off the near-linear main path).
 		rec.Series("sample.recluster.cost").Append(int64(len(singles)), sub.Disagreement(subLabels))
 	}
 

@@ -66,10 +66,6 @@ func LowerBound(inst Instance) float64 {
 		charge(pairs(n))
 		return lowerBoundMatrix(m)
 	}
-	if rd, charge := rowFast(inst); rd != nil {
-		charge(pairs(n))
-		return lowerBoundRows(rd)
-	}
 	var lb float64
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

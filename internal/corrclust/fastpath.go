@@ -20,9 +20,9 @@ import (
 // a single call, without a per-pair interface probe: DistRowTo must fill
 // dst[j] with exactly Dist(u, targets[j]) (zero on diagonal hits), bit for
 // bit, and must be safe for concurrent use with distinct dst buffers. The
-// generic consumers (Cost, LowerBound, MatrixFromInstance, LOCALSEARCH's
-// row gathers) detect it the same way they detect a *Matrix and switch
-// their inner loops to bulk row evaluation — the matrix-free analogue of
+// generic consumers (Cost, MatrixFromInstance, LOCALSEARCH's row gathers)
+// detect it the same way they detect a *Matrix and switch their inner
+// loops to bulk row evaluation — the matrix-free analogue of
 // the Row/RowTo fast paths, used by core's columnar label kernel to keep
 // large-n pipelines O(n·m) in memory.
 type RowDistancer interface {
@@ -157,23 +157,6 @@ func costRows(rd RowDistancer, labels partition.Labels) float64 {
 		}
 	}
 	return cost
-}
-
-// lowerBoundRows is LowerBound against a RowDistancer.
-func lowerBoundRows(rd RowDistancer) float64 {
-	n := rd.N()
-	ids := identity(n)
-	buf := make([]float64, n)
-	var lb float64
-	for u := 0; u < n; u++ {
-		rest := ids[u+1:]
-		row := buf[:len(rest)]
-		rd.DistRowTo(u, rest, row)
-		for _, x := range row {
-			lb += math.Min(x, 1-x)
-		}
-	}
-	return lb
 }
 
 // pairs returns the number of unordered pairs of n objects.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"clusteragg/internal/obs"
-	"clusteragg/internal/partition"
 )
 
 // MatrixFromInstanceParallel materializes an Instance into a Matrix using
@@ -67,78 +66,6 @@ func MatrixFromInstanceParallel(inst Instance, workers int) *Matrix {
 		charge(pairs(n))
 	}
 	return m
-}
-
-// CostParallel computes Cost with the given number of worker goroutines
-// (0 means GOMAXPROCS). Useful for evaluating candidate clusterings on
-// full-size instances where the O(n²) pair scan dominates.
-func CostParallel(inst Instance, labels partition.Labels, workers int) float64 {
-	n := inst.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 256 {
-		return Cost(inst, labels)
-	}
-	rd, charge := rowFast(inst)
-	var ids []int
-	if rd != nil {
-		ids = identity(n)
-	}
-	partial := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			obs.Do(obs.ProfLabels{Phase: "cost", Worker: strconv.Itoa(idx)}, func() {
-				var sum float64
-				var buf []float64
-				if rd != nil {
-					buf = make([]float64, n)
-				}
-				for u := idx; u < n; u += workers {
-					lu := labels[u]
-					if rd != nil {
-						// Bulk-evaluate the tail; same values and addition
-						// order as the per-pair loop below.
-						row := buf[:n-1-u]
-						rd.DistRowTo(u, ids[u+1:], row)
-						tail := labels[u+1:]
-						for j, x := range row {
-							if lu == tail[j] {
-								sum += x
-							} else {
-								sum += 1 - x
-							}
-						}
-						continue
-					}
-					for v := u + 1; v < n; v++ {
-						x := inst.Dist(u, v)
-						if lu == labels[v] {
-							sum += x
-						} else {
-							sum += 1 - x
-						}
-					}
-				}
-				partial[idx] = sum
-			})
-		}(w)
-	}
-	wg.Wait()
-	if rd != nil {
-		charge(pairs(n))
-	}
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
 }
 
 // lsNoMove marks an object whose proposal found no improving move.

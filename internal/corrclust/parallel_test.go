@@ -3,8 +3,6 @@ package corrclust
 import (
 	"math/rand"
 	"testing"
-
-	"clusteragg/internal/partition"
 )
 
 func TestMatrixFromInstanceParallelMatchesSerial(t *testing.T) {
@@ -24,41 +22,9 @@ func TestMatrixFromInstanceParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCostParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for _, n := range []int{1, 2, 300, 400} {
-		inst := aggInstance(t, randClusterings(rng, 4, n, 3)...)
-		labels := make(partition.Labels, n)
-		for i := range labels {
-			labels[i] = rng.Intn(5)
-		}
-		want := Cost(inst, labels)
-		for _, workers := range []int{0, 1, 4, 32} {
-			if got := CostParallel(inst, labels, workers); !almostEqual(got, want) {
-				t.Fatalf("n=%d workers=%d: CostParallel = %v, want %v", n, workers, got, want)
-			}
-		}
-	}
-}
-
-func almostEqual(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := 1.0
-	if b > 1 {
-		scale = b
-	}
-	return diff <= 1e-9*scale
-}
-
 func TestParallelEmptyInstance(t *testing.T) {
 	empty := NewMatrix(0)
 	if got := MatrixFromInstanceParallel(empty, 8); got.N() != 0 {
 		t.Error("parallel materialization of empty instance")
-	}
-	if got := CostParallel(empty, partition.Labels{}, 8); got != 0 {
-		t.Errorf("parallel cost of empty = %v", got)
 	}
 }

@@ -24,9 +24,10 @@ import (
 // representative counts, assignment tallies) are exact, the Rand-index
 // quality metrics are toleranced, and total wall time is ratio-budgeted.
 //
-// Nothing in the sweep may touch an O(n²) path: quality is measured as the
-// Rand index against the planted truth (contingency-table based, O(n)),
-// never by Disagreement or LowerBound.
+// Nothing in the sweep may touch a super-linear path: quality is measured as
+// the Rand index against the planted truth (contingency-table based, O(n)).
+// Disagreement is O(n·m) too, but LowerBound is quadratic in the distinct
+// label rows, which grow with n on noisy inputs, so neither runs here.
 
 // DefaultHugeSizes is the "huge" artifact's object-count ladder — the
 // measured n-scaling table in docs/PERFORMANCE.md comes from exactly this
@@ -51,7 +52,8 @@ type HugePoint struct {
 	Reps   int
 	KFound int
 	// Rand is the Rand index against the planted truth — the O(n) quality
-	// proxy (Disagreement is O(n²) and must never run at these sizes).
+	// proxy (the objective's lower bound is quadratic in the distinct rows
+	// and must never run at these sizes).
 	Rand     float64
 	Duration time.Duration
 	// PerObject is the end-to-end time per object; flat values across the
@@ -90,7 +92,7 @@ type HugeCSVPoint struct {
 	Shards int
 	KFound int
 	// Rand is the Rand index against the planted truth from the class
-	// column (O(n); Disagreement is O(n²) and must never run here).
+	// column (O(n); the quadratic-in-rows lower bound must never run here).
 	Rand          float64
 	DrainDuration time.Duration
 	PipeDuration  time.Duration

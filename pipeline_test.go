@@ -206,6 +206,48 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 	}
 }
 
+// TestAggregateCSVEvaluateSpan: both AggregateCSV routes score their labels
+// under a top-level evaluate span carrying the lower bound's real-work
+// counters, and the reported objective does not depend on Workers.
+func TestAggregateCSVEvaluateSpan(t *testing.T) {
+	defer core.SetShardTarget(64)()
+	csv := pipelineCSV(300)
+	for _, sample := range []int{0, 25} {
+		var want *clusteragg.CSVResult
+		for _, workers := range []int{1, 4} {
+			rec := clusteragg.NewRecorder()
+			res := runCSV(t, csv, clusteragg.CSVOptions{
+				HasHeader:   true,
+				ClassColumn: "class",
+				Method:      clusteragg.MethodAgglomerative,
+				SampleSize:  sample,
+				Options:     clusteragg.AggregateOptions{Workers: workers, Recorder: rec},
+			})
+			name := fmt.Sprintf("sample=%d workers=%d", sample, workers)
+			evaluate := false
+			for _, s := range rec.Spans() {
+				evaluate = evaluate || s.Name == "evaluate"
+			}
+			if !evaluate {
+				t.Errorf("%s: no top-level evaluate span", name)
+			}
+			c := rec.Counters()
+			d := c["evaluate.distinct_rows"]
+			if d < 2 || d > 300 {
+				t.Errorf("%s: evaluate.distinct_rows = %d, want in [2, 300]", name, d)
+			}
+			if pairs := c["evaluate.row_pairs"]; pairs < d*(d-1)/2 || pairs > d*(d+1)/2 {
+				t.Errorf("%s: evaluate.row_pairs = %d for %d distinct rows", name, pairs, d)
+			}
+			if want == nil {
+				want = res
+			} else {
+				sameResult(t, name, res, want)
+			}
+		}
+	}
+}
+
 // TestAggregateCSVPipelinedErrors: error cases must surface through the
 // pipelined (sampled) route exactly as through the exact drain route, and
 // never name a table — the facade reads an unnamed one, so a name in the
