@@ -82,14 +82,15 @@ cover:
 # The distance-kernel suite: block materialization vs the naive build,
 # LOCALSEARCH row fast path vs generic, the incremental LOCALSEARCH kernel
 # vs the reference sweep, BestOf racing, and the label-kernel assignment
-# pass vs the test-side probing reference on one sample state (see
-# docs/PERFORMANCE.md for how to read the numbers).
+# pass vs the test-side probing reference on one sample state, and the
+# objective's lower bound (lattice route vs the row-pair scan) at the
+# facade shape (see docs/PERFORMANCE.md for how to read the numbers).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$|BenchmarkLowerBound$$' -benchmem ./internal/core/
 
 # One iteration of the kernel suite, as a fast correctness smoke test.
 bench-short:
-	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$|BenchmarkLowerBound$$' -benchtime 1x -benchmem ./internal/core/
 
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
 # paths (pooled assignment scratch, kernel distance rows, packed label

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
@@ -122,8 +123,11 @@ func allocBytes(runs int, f func()) uint64 {
 // TestObjectiveAllocs pins the objective's memory: Disagreement allocates
 // O(n + k + L) bytes (buckets, one gathered column, one label tally) and
 // LowerBound O(n + workers·d) bytes for d distinct rows (an int32
-// permutation sort plus an m-byte copy of each row) — never a per-pair
-// buffer, a per-row string key, or a per-clustering table.
+// permutation sort plus an m-byte copy of each row, then per worker one
+// row permutation on the lattice route) — never a per-pair buffer, a
+// per-row string key, or a per-clustering table. The lower-bound budget
+// holds on both routes: m = 6 takes the lattice, m = 16 the row-pair scan.
+// The row copy is m·d bytes, so the wide instance repeats its rows.
 func TestObjectiveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1403))
 	const n, m, k = 4000, 6, 40
@@ -141,14 +145,50 @@ func TestObjectiveAllocs(t *testing.T) {
 	if got := allocBytes(5, func() { p.Disagreement(labels) }); got > want {
 		t.Errorf("Disagreement allocates %d bytes, want ≤ %d = O(n + k + L)", got, want)
 	}
-	d := len(func() []int32 { _, _, cnt := distinctRows(lk.lab8, lk.hasMiss, n, m); return cnt }())
-	if d < n/4 {
-		t.Fatalf("only %d distinct rows; the instance does not exercise the row dedup", d)
+	protos := make([][]int, 1200)
+	for r := range protos {
+		protos[r] = make([]int, 16)
+		for i := range protos[r] {
+			if rng.Float64() < 0.05 {
+				protos[r][i] = partition.Missing
+			} else {
+				protos[r][i] = rng.Intn(5)
+			}
+		}
 	}
-	for _, workers := range []int{1, 4} {
-		want := uint64(12*n + 8*workers*d + 8192)
-		if got := allocBytes(3, func() { lk.lowerBound(nil, workers) }); got > want {
-			t.Errorf("LowerBound at %d workers allocates %d bytes (d=%d), want ≤ %d = O(n + workers·d)", workers, got, d, want)
+	cs := make([]partition.Labels, 16)
+	for i := range cs {
+		cs[i] = make(partition.Labels, n)
+	}
+	for v := 0; v < n; v++ {
+		row := protos[rng.Intn(len(protos))]
+		for i, c := range cs {
+			c[v] = row[i]
+		}
+	}
+	wide, err := NewProblem(cs, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p     *Problem
+		route string
+	}{{p, "evaluate.lattice_groups"}, {wide, "evaluate.row_pairs"}} {
+		lk := tc.p.kernel()
+		d := len(func() []int32 { _, cnt, _ := distinctRows(lk.lab8, n, lk.m); return cnt }())
+		if d < n/4 {
+			t.Fatalf("m=%d: only %d distinct rows; the instance does not exercise the row dedup", lk.m, d)
+		}
+		rec := obs.New()
+		lk.lowerBound(rec, 1)
+		if _, ok := rec.Counters()[tc.route]; !ok {
+			t.Fatalf("m=%d: LowerBound did not record %s: wrong route", lk.m, tc.route)
+		}
+		for _, workers := range []int{1, 4} {
+			want := uint64(12*n + 8*workers*d + 8192)
+			if got := allocBytes(3, func() { lk.lowerBound(nil, workers) }); got > want {
+				t.Errorf("m=%d: LowerBound at %d workers allocates %d bytes (d=%d), want ≤ %d = O(n + workers·d)", lk.m, workers, got, d, want)
+			}
 		}
 	}
 }

@@ -237,3 +237,62 @@ func BenchmarkSampleHuge(b *testing.B) {
 		})
 	}
 }
+
+// facadeProblem is the facade's planted input: object i belongs to group
+// i%k, and each of its m labels is missing with probability miss, else
+// relabeled uniformly over k+2 values with probability noise, else its
+// group.
+func facadeProblem(b *testing.B, n, m, k int, noise, miss float64) *Problem {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]partition.Labels, m)
+	for ci := range inputs {
+		inputs[ci] = make(partition.Labels, n)
+	}
+	for i := 0; i < n; i++ {
+		for _, c := range inputs {
+			switch {
+			case rng.Float64() < miss:
+				c[i] = partition.Missing
+			case rng.Float64() < noise:
+				c[i] = rng.Intn(k + 2)
+			default:
+				c[i] = i % k
+			}
+		}
+	}
+	p, err := NewProblem(inputs, ProblemOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkLowerBound measures LowerBound at the facade shape (m=6, 32
+// planted groups, 10% noise, 5% missing): the subset-lattice route the
+// route rule picks, on one worker and all CPUs, against the row-pair scan
+// it replaces at n=16k, and the lattice alone at n=200k, where the scan
+// takes seconds.
+func BenchmarkLowerBound(b *testing.B) {
+	for _, n := range []int{16_000, 200_000} {
+		p := facadeProblem(b, n, 6, 32, 0.1, 0.05)
+		lk := p.kernel()
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("n=%d/lattice/workers=%d", n, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					lk.lowerBound(nil, workers)
+				}
+			})
+		}
+		if n > 16_000 {
+			continue
+		}
+		b.Run(fmt.Sprintf("n=%d/scan/workers=0", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lowerBoundRoutes(lk, 0, false)
+			}
+		})
+	}
+}

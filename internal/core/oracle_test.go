@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
@@ -250,9 +251,13 @@ func closeRel(got, want float64) bool {
 
 // checkObjective pins p's Disagreement (on each labeling) and LowerBound
 // against the pair scans — bit-equal when exact, within closeRel otherwise —
-// and pins both bit-identical across every kernel width the packed block
-// allows and, for LowerBound, at workers 1, 2, and 8.
-func checkObjective(t testing.TB, name string, p *Problem, labelings []partition.Labels, exact bool) {
+// and pins Disagreement bit-identical across every kernel width the packed
+// block allows. Both LowerBound routes, the lattice and the row-pair scan,
+// run directly, whatever the route rule picks: each meets the same
+// tolerance and is bit-identical across widths and at workers 1, 2, and 8,
+// and LowerBound equals its route bit for bit. It returns the route
+// LowerBound took ("lattice" or "scan").
+func checkObjective(t testing.TB, name string, p *Problem, labelings []partition.Labels, exact bool) string {
 	t.Helper()
 	same := func(got, want float64) bool {
 		if exact {
@@ -275,27 +280,47 @@ func checkObjective(t testing.TB, name string, p *Problem, labelings []partition
 			}
 		}
 	}
-	lb, want := p.LowerBound(), scanLowerBound(p)
+	want := scanLowerBound(p)
+	rec := obs.New()
+	lb := p.lowerBound(rec, 1)
+	route := "scan"
+	if _, ok := rec.Counters()["evaluate.lattice_groups"]; ok {
+		route = "lattice"
+	}
+	if got := p.LowerBound(); got != lb {
+		t.Fatalf("%s: LowerBound = %v on GOMAXPROCS workers, %v on one", name, got, lb)
+	}
 	if !same(lb, want) {
 		t.Fatalf("%s: LowerBound = %v, pair scan = %v (diff %g)", name, lb, want, lb-want)
 	}
-	for _, w := range []int{width8, width16, width32} {
-		if w < p.packed.width {
-			continue
+	for _, lattice := range []bool{false, true} {
+		ref := p.totalWeight * lowerBoundRoutes(p.kernel(), 1, lattice)
+		if !same(ref, want) {
+			t.Fatalf("%s: lattice=%v LowerBound = %v, pair scan = %v (diff %g)", name, lattice, ref, want, ref-want)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			if got := p.totalWeight * p.kernelWidth(w).lowerBound(nil, workers); got != lb {
-				t.Fatalf("%s: LowerBound at width %d, %d workers = %v, want %v", name, w, workers, got, lb)
+		if (route == "lattice") == lattice && ref != lb {
+			t.Fatalf("%s: LowerBound = %v, its route (lattice=%v) gives %v", name, lb, lattice, ref)
+		}
+		for _, w := range []int{width8, width16, width32} {
+			if w < p.packed.width {
+				continue
+			}
+			for _, workers := range []int{1, 2, 8} {
+				if got := p.totalWeight * lowerBoundRoutes(p.kernelWidth(w), workers, lattice); got != ref {
+					t.Fatalf("%s: lattice=%v LowerBound at width %d, %d workers = %v, want %v", name, lattice, w, workers, got, ref)
+				}
 			}
 		}
 	}
+	return route
 }
 
-// TestObjectiveOracle pins the contingency-count Disagreement and the
-// distinct-row LowerBound against the test-side pair scans over probeDist:
+// TestObjectiveOracle pins the contingency-count Disagreement and both
+// LowerBound routes against the test-side pair scans over probeDist:
 // bit-equal on dyadic instances (every X_uv and partial sum exact), within
 // 1e-12 relative otherwise, and bit-identical across widths (8/16/32 and a
-// forced int32 kernel) and LowerBound worker counts.
+// forced int32 kernel) and LowerBound worker counts. Each case also pins
+// the route the rule picks for it.
 func TestObjectiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1401))
 	randWeights := func(m int) []float64 {
@@ -312,24 +337,42 @@ func TestObjectiveOracle(t *testing.T) {
 		wide      int
 		opts      ProblemOptions
 		exact     bool
-		wantWidth int // packed width (bytes) the case must exercise
+		wantWidth int    // packed width (bytes) the case must exercise
+		blank     int    // leading objects missing in every clustering
+		route     string // the lower-bound route the rule must pick
 	}{
-		{"coin-dyadic", 300, 4, 5, 0.2, 0, ProblemOptions{}, true, width8},
-		{"coin-dyadic-clean", 300, 4, 5, 0, 0, ProblemOptions{}, true, width8},
-		{"coin-dyadic-duplicates", 240, 4, 2, 0.1, 0, ProblemOptions{}, true, width8},
-		{"coin-dyadic-weights", 200, 8, 3, 0.15, 0, ProblemOptions{Weights: dyadicWeights(8)}, true, width8},
-		{"coin-p0.3-weights", 200, 5, 4, 0.2, 0, ProblemOptions{MissingTogether: 0.3, Weights: randWeights(5)}, false, width8},
-		{"coin-p0.3", 200, 3, 4, 0.25, 0, ProblemOptions{MissingTogether: 0.3}, false, width8},
-		{"clean-weights", 200, 6, 4, 0, 0, ProblemOptions{Weights: randWeights(6)}, false, width8},
-		{"average-missing", 150, 5, 3, 0.3, 0, ProblemOptions{MissingMode: MissingAverage}, false, width8},
-		{"average-missing-weights", 150, 4, 3, 0.3, 0, ProblemOptions{MissingMode: MissingAverage, Weights: randWeights(4)}, false, width8},
-		{"average-clean-dyadic", 200, 4, 4, 0, 0, ProblemOptions{MissingMode: MissingAverage}, true, width8},
-		{"width16", 250, 4, 4, 0.2, 300, ProblemOptions{}, true, width16},
-		{"width32-compacted", 200, 4, 4, 0.2, 70_000, ProblemOptions{}, true, width32},
-		{"width32-weights", 200, 4, 4, 0.1, 70_000, ProblemOptions{MissingTogether: 0.3, Weights: randWeights(4)}, false, width32},
+		{"coin-dyadic", 300, 4, 5, 0.2, 0, ProblemOptions{}, true, width8, 0, "lattice"},
+		{"coin-dyadic-clean", 300, 4, 5, 0, 0, ProblemOptions{}, true, width8, 0, "lattice"},
+		{"coin-dyadic-duplicates", 240, 4, 2, 0.1, 0, ProblemOptions{}, true, width8, 0, "lattice"},
+		{"coin-dyadic-weights", 200, 8, 3, 0.15, 0, ProblemOptions{Weights: dyadicWeights(8)}, true, width8, 0, "scan"},
+		{"coin-p0.3-weights", 200, 5, 4, 0.2, 0, ProblemOptions{MissingTogether: 0.3, Weights: randWeights(5)}, false, width8, 0, "lattice"},
+		{"coin-p0.3", 200, 3, 4, 0.25, 0, ProblemOptions{MissingTogether: 0.3}, false, width8, 0, "lattice"},
+		{"clean-weights", 200, 6, 4, 0, 0, ProblemOptions{Weights: randWeights(6)}, false, width8, 0, "lattice"},
+		{"average-missing", 150, 5, 3, 0.3, 0, ProblemOptions{MissingMode: MissingAverage}, false, width8, 0, "lattice"},
+		{"average-missing-weights", 150, 4, 3, 0.3, 0, ProblemOptions{MissingMode: MissingAverage, Weights: randWeights(4)}, false, width8, 0, "lattice"},
+		{"average-clean-dyadic", 200, 4, 4, 0, 0, ProblemOptions{MissingMode: MissingAverage}, true, width8, 0, "lattice"},
+		{"width16", 250, 4, 4, 0.2, 300, ProblemOptions{}, true, width16, 0, "lattice"},
+		{"width32-compacted", 200, 4, 4, 0.2, 70_000, ProblemOptions{}, true, width32, 0, "lattice"},
+		{"width32-weights", 200, 4, 4, 0.1, 70_000, ProblemOptions{MissingTogether: 0.3, Weights: randWeights(4)}, false, width32, 0, "lattice"},
+		{"m1", 100, 1, 4, 0.2, 0, ProblemOptions{}, true, width8, 0, "lattice"},
+		{"m1-average", 100, 1, 4, 0.2, 0, ProblemOptions{MissingMode: MissingAverage}, false, width8, 0, "lattice"},
+		{"blank-rows", 200, 4, 3, 0.1, 0, ProblemOptions{}, true, width8, 5, "lattice"},
+		{"blank-rows-average", 200, 4, 3, 0.2, 0, ProblemOptions{MissingMode: MissingAverage}, false, width8, 3, "lattice"},
+		{"blank-rows-weights", 200, 5, 3, 0.2, 0, ProblemOptions{MissingTogether: 0.3, Weights: []float64{1.0 / 3, 2.0 / 3, 1, 1.0 / 7, 5}}, false, width8, 2, "lattice"},
+		{"high-missing", 400, 4, 3, 0.45, 0, ProblemOptions{}, true, width8, 0, "lattice"},
+		{"high-missing-average", 400, 5, 3, 0.45, 0, ProblemOptions{MissingMode: MissingAverage, Weights: randWeights(5)}, false, width8, 0, "lattice"},
+		// 3^8 union classes outgrow m·d: the table cap sends it to the scan.
+		{"high-missing-capped", 300, 8, 3, 0.5, 0, ProblemOptions{}, true, width8, 0, "scan"},
+		// 2^16 subsets outweigh the row pairs, as on Votes and Mushrooms.
+		{"wide-m16", 200, 16, 3, 0.002, 0, ProblemOptions{}, true, width8, 0, "scan"},
 	}
 	for _, tc := range cases {
 		cs := objectiveInputs(rng, tc.n, tc.m, tc.k, tc.pMiss, tc.wide)
+		for _, c := range cs {
+			for v := 0; v < tc.blank; v++ {
+				c[v] = partition.Missing
+			}
+		}
 		p, err := NewProblem(cs, tc.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -337,7 +380,9 @@ func TestObjectiveOracle(t *testing.T) {
 		if p.packed.width != tc.wantWidth {
 			t.Fatalf("%s: packed width %d, want %d", tc.name, p.packed.width, tc.wantWidth)
 		}
-		checkObjective(t, tc.name, p, objectiveLabelings(rng, tc.n, cs), tc.exact)
+		if route := checkObjective(t, tc.name, p, objectiveLabelings(rng, tc.n, cs), tc.exact); route != tc.route {
+			t.Errorf("%s: LowerBound took the %s route, want %s", tc.name, route, tc.route)
+		}
 	}
 	// Tiny problems: no pairs, or one.
 	for _, n := range []int{0, 1, 2} {
@@ -348,6 +393,51 @@ func TestObjectiveOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkObjective(t, "tiny", p, objectiveLabelings(rng, n, cs), false)
+		}
+	}
+}
+
+// TestLowerBoundBelowOptimum: the lower bound bounds. On instances of at
+// most 8 objects, both routes stay at or below the optimum Disagreement
+// over every partition and below the Disagreement of every
+// objectiveLabelings labeling, in both missing modes, with and without
+// missing labels and weights (up to closeRel where the floats round).
+func TestLowerBoundBelowOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(1405))
+	for trial := 0; trial < 60; trial++ {
+		n, m := 2+trial%7, 1+rng.Intn(6)
+		var opts ProblemOptions
+		switch trial % 3 {
+		case 1:
+			opts.MissingMode = MissingAverage
+		case 2:
+			opts.MissingTogether = 0.3
+			opts.Weights = make([]float64, m)
+			for i := range opts.Weights {
+				opts.Weights[i] = 0.25 + 3*rng.Float64()
+			}
+		}
+		cs := objectiveInputs(rng, n, m, 1+rng.Intn(4), 0.3*float64(trial%2), 0)
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		partition.EnumeratePartitions(n, func(l partition.Labels) bool {
+			best = min(best, p.Disagreement(l))
+			return true
+		})
+		below := func(lb, d float64) bool { return lb <= d || closeRel(lb, d) }
+		for _, lattice := range []bool{false, true} {
+			lb := p.totalWeight * lowerBoundRoutes(p.kernel(), 1, lattice)
+			if !below(lb, best) {
+				t.Fatalf("trial %d (n=%d, m=%d, lattice=%v): LowerBound %v exceeds the optimum %v", trial, n, m, lattice, lb, best)
+			}
+			for li, l := range objectiveLabelings(rng, n, cs) {
+				if d := p.Disagreement(l); !below(lb, d) {
+					t.Fatalf("trial %d (n=%d, m=%d, lattice=%v): LowerBound %v exceeds labeling %d's Disagreement %v", trial, n, m, lattice, lb, li, d)
+				}
+			}
 		}
 	}
 }
@@ -376,7 +466,8 @@ func TestDisagreementLengthCheck(t *testing.T) {
 
 // FuzzObjective drives the objective oracle over random instances: both
 // missing modes, several coin probabilities, weighted and uniform inputs,
-// every packed width, and every bucketing route of the labeling.
+// every packed width, every bucketing route of the labeling, and both
+// lower-bound routes.
 func FuzzObjective(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(4), uint8(3), uint8(0), uint8(2), false, uint8(0))
 	f.Add(int64(2), uint8(70), uint8(5), uint8(2), uint8(1), uint8(0), true, uint8(1))
@@ -405,4 +496,26 @@ func FuzzObjective(f *testing.F) {
 		}
 		checkObjective(t, "fuzz", p, objectiveLabelings(rng, n, cs), false)
 	})
+}
+
+// lowerBoundRoutes runs one route of the lower bound directly, whatever the
+// route rule would pick: the row-pair scan, or the lattice (with no cap on
+// its count table). Like labelKernel.lowerBound it omits the total weight.
+func lowerBoundRoutes(lk *labelKernel, workers int, lattice bool) float64 {
+	switch lk.width {
+	case width8:
+		return lowerBoundRouteW(lk, lk.lab8, workers, lattice)
+	case width16:
+		return lowerBoundRouteW(lk, lk.lab16, workers, lattice)
+	default:
+		return lowerBoundRouteW(lk, lk.lab32, workers, lattice)
+	}
+}
+
+func lowerBoundRouteW[W labelWord](lk *labelKernel, lab []W, workers int, lattice bool) float64 {
+	rows, cnt, scratch := distinctRows(lab, lk.n, lk.m)
+	if lattice {
+		return newLattice(lk, rows, cnt, scratch, math.MaxInt64).lowerBound(nil, workers)
+	}
+	return scanRowPairs(lk, rows, cnt, nil, workers)
 }

@@ -26,8 +26,9 @@ import (
 //
 // Nothing in the sweep may touch a super-linear path: quality is measured as
 // the Rand index against the planted truth (contingency-table based, O(n)).
-// Disagreement is O(n·m) too, but LowerBound is quadratic in the distinct
-// label rows, which grow with n on noisy inputs, so neither runs here.
+// Disagreement is O(n·m) too, and LowerBound's lattice route is O(2^m·d)
+// in the d distinct label rows, but it sorts all n rows and holds their
+// copy, so neither runs here.
 
 // DefaultHugeSizes is the "huge" artifact's object-count ladder — the
 // measured n-scaling table in docs/PERFORMANCE.md comes from exactly this
@@ -52,8 +53,8 @@ type HugePoint struct {
 	Reps   int
 	KFound int
 	// Rand is the Rand index against the planted truth — the O(n) quality
-	// proxy (the objective's lower bound is quadratic in the distinct rows
-	// and must never run at these sizes).
+	// proxy (the objective's lower bound, O(n·m log n) to find the distinct
+	// rows, stays out of the timed sweep).
 	Rand     float64
 	Duration time.Duration
 	// PerObject is the end-to-end time per object; flat values across the
@@ -92,7 +93,7 @@ type HugeCSVPoint struct {
 	Shards int
 	KFound int
 	// Rand is the Rand index against the planted truth from the class
-	// column (O(n); the quadratic-in-rows lower bound must never run here).
+	// column (O(n); the lower bound stays out of the timed sweep).
 	Rand          float64
 	DrainDuration time.Duration
 	PipeDuration  time.Duration

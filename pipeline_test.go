@@ -236,8 +236,17 @@ func TestAggregateCSVEvaluateSpan(t *testing.T) {
 			if d < 2 || d > 300 {
 				t.Errorf("%s: evaluate.distinct_rows = %d, want in [2, 300]", name, d)
 			}
-			if pairs := c["evaluate.row_pairs"]; pairs < d*(d-1)/2 || pairs > d*(d+1)/2 {
-				t.Errorf("%s: evaluate.row_pairs = %d for %d distinct rows", name, pairs, d)
+			// Three clusterings over ≤ 300 rows take the lattice route: at
+			// least the one group of all rows, at most 3^3 agreement
+			// classes, and no row-pair scan.
+			if cl := c["evaluate.lattice_classes"]; cl < 1 || cl > 27 {
+				t.Errorf("%s: evaluate.lattice_classes = %d, want in [1, 27]", name, cl)
+			}
+			if g := c["evaluate.lattice_groups"]; g < 1 {
+				t.Errorf("%s: evaluate.lattice_groups = %d, want ≥ 1", name, g)
+			}
+			if pairs, ok := c["evaluate.row_pairs"]; ok {
+				t.Errorf("%s: evaluate.row_pairs = %d on the lattice route", name, pairs)
 			}
 			if want == nil {
 				want = res
