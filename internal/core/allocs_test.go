@@ -21,8 +21,8 @@ func pinAllocs(t *testing.T, name string, want float64, f func()) {
 
 // TestAssignScratchAllocs pins the buffer-pooling satellite: the pooled
 // per-worker scratch (pool.go) reaches a zero-allocation steady state, so
-// the assignment hot loop in assignChunk costs no per-stripe
-// garbage once the pool is warm.
+// the assignment's decide blocks cost no per-block garbage once the pool
+// is warm.
 func TestAssignScratchAllocs(t *testing.T) {
 	// Warm the pool past the sizes the loop below requests.
 	bp, _ := getF64(8192)
@@ -189,6 +189,53 @@ func TestObjectiveAllocs(t *testing.T) {
 			if got := allocBytes(3, func() { lk.lowerBound(nil, workers) }); got > want {
 				t.Errorf("m=%d: LowerBound at %d workers allocates %d bytes (d=%d), want ≤ %d = O(n + workers·d)", lk.m, workers, got, d, want)
 			}
+		}
+	}
+}
+
+// TestAssignKernelAllocs pins the assignment pass's memory to the sample
+// state and the distinct rows, never to n: the row index is an int32 table
+// kept at most half full plus one int32 exemplar per distinct row (≤ 48
+// bytes per row over all its doublings), the co-label histograms take
+// 8·m·(L+2)·k bytes, and object ids are parked in labels. The instance
+// repeats at most 500 planted rows over n = 200k objects, so even a
+// 1-byte-per-object side array breaks the budget.
+func TestAssignKernelAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1409))
+	const n, m = 200_000, 6
+	protos := make([][]int, 500) // group r%32 in every clustering, 10% noise
+	for r := range protos {
+		protos[r] = make([]int, m)
+		for i := range protos[r] {
+			protos[r][i] = r % 32
+			if rng.Float64() < 0.1 {
+				protos[r][i] = rng.Intn(34)
+			}
+		}
+	}
+	rows := make([][]int, n)
+	for v := range rows {
+		rows[v] = protos[rng.Intn(len(protos))]
+	}
+	p := rowsProblem(t, rows, ProblemOptions{})
+	labels, members := sampleState(t, p, MethodBalls, autoSampleSize(n), 7)
+	d, k := int(nonSampleRows(p, labels)), len(members)
+	var bound int
+	for _, b := range p.kernel().maxLab {
+		bound = max(bound, int(b))
+	}
+	work := make(partition.Labels, n)
+	for _, workers := range []int{1, 4} {
+		want := uint64(64*d + 8*m*(bound+3)*k + 8*workers*k + 8192)
+		if want >= n {
+			t.Fatalf("budget %d bytes does not sit below n = %d", want, n)
+		}
+		got := allocBytes(3, func() {
+			copy(work, labels)
+			p.assignKernel(nil, nil, work, members, workers)
+		})
+		if got > want {
+			t.Errorf("assignKernel at %d workers allocates %d bytes (d=%d, k=%d), want ≤ %d = O(d + m·L·k)", workers, got, d, k, want)
 		}
 	}
 }

@@ -162,29 +162,31 @@ func BenchmarkBestOf(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleAssign isolates the assignment pass at n=20_000, m=16 on
-// one sample state (the auto sample size aggregated by BALLS): the
-// histogram kernel computes all k affinities in O(m·k) per object, versus
-// O(m·s) probeDist calls per object in the test-side reference pass. Both
-// run on one goroutine, so the ratio is per core.
+// BenchmarkSampleAssign isolates the assignment pass on one sample state
+// (the auto sample size aggregated by BALLS), on one goroutine, at shapes
+// on both sides of the decide-once-per-distinct-row mechanism. "kernel"
+// (n=20_000, m=16; 9,019 distinct rows among 19,801 non-sample objects)
+// scores each distinct row in O(m·k) through the histograms; "reference" is
+// the test-side probing pass on the same state, O(m·s) probeDist calls per
+// object. "planted" is the stream-2m recipe at n=200_000 (m=6, 32 groups,
+// 10% noise), where 86% of the non-sample rows repeat an earlier one, and
+// "distinct" (n=20_000, m=8) repeats none, so the row index is pure
+// overhead there.
 func BenchmarkSampleAssign(b *testing.B) {
+	run := func(name string, p *Problem, labels partition.Labels, members [][]int, assign func(partition.Labels)) {
+		work := make(partition.Labels, len(labels))
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, labels)
+				assign(work)
+			}
+		})
+	}
 	p := benchProblem(b, 20_000, 16, 7)
 	labels, members := sampleState(b, p, MethodBalls, autoSampleSize(p.N()), 7)
-	work := make(partition.Labels, len(labels))
-	b.Run("kernel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(work, labels)
-			p.assignKernel(nil, nil, work, members, 1)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(work, labels)
-			assignReference(p, work, members)
-		}
-	})
+	run("kernel", p, labels, members, func(work partition.Labels) { p.assignKernel(nil, nil, work, members, 1) })
+	run("reference", p, labels, members, func(work partition.Labels) { assignReference(p, work, members) })
 
 	// m=16 with uniform weights is dyadic, so the two passes must agree
 	// bit for bit; pin that once outside the timed loops.
@@ -194,6 +196,14 @@ func BenchmarkSampleAssign(b *testing.B) {
 			b.Fatalf("kernel and reference assignments diverge at object %d", i)
 		}
 	}
+
+	pp := facadeProblem(b, 200_000, 6, 32, 0.1, 0)
+	pLabels, pMembers := sampleState(b, pp, MethodBalls, autoSampleSize(pp.N()), 7)
+	run("planted", pp, pLabels, pMembers, func(work partition.Labels) { pp.assignKernel(nil, nil, work, pMembers, 1) })
+
+	pd := rowsProblem(b, uniqueRows(rand.New(rand.NewSource(7)), 20_000, 8, false), ProblemOptions{})
+	dLabels, dMembers := sampleState(b, pd, MethodBalls, autoSampleSize(pd.N()), 7)
+	run("distinct", pd, dLabels, dMembers, func(work partition.Labels) { pd.assignKernel(nil, nil, work, dMembers, 1) })
 }
 
 // BenchmarkSampleLarge runs the full sampling pipeline at n=100_000, m=8 —

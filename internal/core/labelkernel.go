@@ -37,11 +37,12 @@ package core
 // distances (TestLabelKernelWidthsBitIdentical, FuzzLabelKernelWidths).
 //
 // On top of the kernel, SAMPLING's assignment phase (sampling.go) replaces
-// its O(m·s) per-object probing with O(m·k) co-label histograms: for each
-// clustering, the count of sample members per (input label, sample cluster)
-// is precomputed once, and M(v, C_c) for all k sample clusters falls out of
-// one pass over v's label block. See colabelHist below and
-// docs/PERFORMANCE.md for the arithmetic and the equivalence contract.
+// O(m·s) probing with O(m·k) co-label histograms: for each clustering, the
+// count of sample members per (input label, sample cluster) is precomputed
+// once, and M(v, C_c) for all k sample clusters falls out of one pass over
+// v's label block — run once per distinct label row, since equal rows get
+// equal affinities. See colabelHist below and docs/PERFORMANCE.md for the
+// arithmetic and the equivalence contract.
 
 // labelWord is a storage width for packed labels. The missing sentinel is
 // the type's all-ones value (see missingWord), so the usable label range is
@@ -265,7 +266,8 @@ const histBoundCap = 1024
 // The histograms do not apply under MissingAverage with missing labels
 // present: there each pair divides by its own vote weight, which does not
 // decompose per clustering. That regime keeps the kernel's row path
-// (assignViaRows), which is bit-identical to probing unconditionally.
+// (assignKernel's row route), which is bit-identical to probing
+// unconditionally.
 type colabelHist struct {
 	k     int
 	sizes []int // |C_c| for each sample cluster

@@ -43,6 +43,8 @@ func dyadicWeights(m int) []float64 {
 		return []float64{0.5, 1.5}
 	case 4:
 		return []float64{1, 0.5, 1.5, 1}
+	case 6:
+		return []float64{1, 1, 1, 1, 2, 2}
 	case 8:
 		return []float64{1, 1, 1, 1, 0.5, 1.5, 0.5, 1.5}
 	default:
@@ -180,7 +182,10 @@ func TestColabelHistAffinities(t *testing.T) {
 // (power-of-two total weight, dyadic missing probabilities — with missing
 // values, dyadic weights, both uniform and weighted) the histogram
 // assignment pass must reproduce the probing reference's labels bit for
-// bit on the same sample state.
+// bit on the same sample state. Two m=6 instances (total weight 8) pin the
+// decide-once-per-distinct-row pass at both ends: one where most rows
+// repeat and sample members share their rows with non-sample objects, one
+// where every row is distinct.
 func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 20; trial++ {
@@ -202,23 +207,41 @@ func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 			}
 		}
 	}
+
+	opts := ProblemOptions{MissingTogether: 0.5, Weights: dyadicWeights(6)}
+	p := rowsProblem(t, plantedRows(rng, 2000, 6, 40, 0.1), opts)
+	labels, members := sampleState(t, p, MethodAgglomerative, 80, 3)
+	if shared, _ := sharedRows(p, labels); shared == 0 {
+		t.Fatal("planted: no sample member shares its row with a non-sample object")
+	}
+	checkAssignOracle(t, "planted", p, labels, members)
+
+	p = rowsProblem(t, uniqueRows(rng, 700, 6, true), opts)
+	labels, members = sampleState(t, p, MethodAgglomerative, 60, 4)
+	checkAssignOracle(t, "distinct", p, labels, members)
 }
 
 // TestSampleKernelMatchesReferenceAverageMissing: under MissingAverage with
 // missing values the kernel keeps per-pair row evaluation (per-pair vote
 // denominators do not decompose into histograms), which mirrors the probing
 // arithmetic exactly — so labels must match bit for bit even with arbitrary
-// non-dyadic weights.
+// non-dyadic weights. The m=6 repeated-row instance makes sure a row with a
+// missing label is carried both by sample members and by non-sample
+// objects, so the exemplar scored for it sits next to members with its
+// very row.
 func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
-	for trial := 0; trial < 10; trial++ {
-		m := 2 + rng.Intn(7)
+	randWeights := func(m int) []float64 {
 		w := make([]float64, m)
 		for i := range w {
 			w[i] = 0.25 + rng.Float64()*3
 		}
+		return w
+	}
+	for trial := 0; trial < 10; trial++ {
+		m := 2 + rng.Intn(7)
 		p := randMixedProblem(t, rng, 200+rng.Intn(100), m, 0.3,
-			ProblemOptions{MissingMode: MissingAverage, Weights: w})
+			ProblemOptions{MissingMode: MissingAverage, Weights: randWeights(m)})
 		labels, members := sampleState(t, p, MethodBalls, 40, int64(trial))
 		got, want := assignBoth(p, labels, members, 2)
 		for i := range got {
@@ -227,6 +250,18 @@ func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 			}
 		}
 	}
+
+	opts := ProblemOptions{MissingMode: MissingAverage, Weights: randWeights(6)}
+	p := rowsProblem(t, plantedRows(rng, 2000, 6, 40, 0.15), opts)
+	labels, members := sampleState(t, p, MethodBalls, 80, 5)
+	if _, sharedMiss := sharedRows(p, labels); sharedMiss == 0 {
+		t.Fatal("planted: no row with a missing label is shared by a sample member and a non-sample object")
+	}
+	checkAssignOracle(t, "planted", p, labels, members)
+
+	p = rowsProblem(t, uniqueRows(rng, 700, 6, true), opts)
+	labels, members = sampleState(t, p, MethodBalls, 60, 6)
+	checkAssignOracle(t, "distinct", p, labels, members)
 }
 
 // TestSampleKernelCloseContinuous: on non-dyadic instances (odd m, random
@@ -312,12 +347,12 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 	}
 }
 
-// TestSampleAssignCounters pins the kernel path's counter contract: the
-// bulk sample.assign.dist_probes charge equals the (n−s)·s object/member
-// pairs the probing reference evaluates, kernel_cols records the packed
-// objects, and hist_builds the per-clustering histogram builds (zero on
-// the MissingAverage row route), and the assigned/fresh outcome counters
-// match the reference's on the same sample state.
+// TestSampleAssignCounters pins the kernel path's counter contract:
+// sample.assign.rows_decided counts the distinct non-sample rows the pass
+// scored, kernel_cols records the packed objects, and hist_builds the
+// per-clustering histogram builds (zero on the MissingAverage row route),
+// and the assigned/fresh outcome counters match the reference's on the
+// same sample state.
 func TestSampleAssignCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	const n, s = 400, 60
@@ -333,11 +368,18 @@ func TestSampleAssignCounters(t *testing.T) {
 		}
 		return rec.Counters()
 	}
+	checkRows := func(name string, p *Problem, got map[string]int64) {
+		labels, _ := sampleState(t, p, MethodAgglomerative, s, 5)
+		if want := nonSampleRows(p, labels); got["sample.assign.rows_decided"] != want {
+			t.Errorf("%s: rows_decided = %d, want %d distinct non-sample rows", name, got["sample.assign.rows_decided"], want)
+		}
+	}
 
-	p := randMixedProblem(t, rng, n, 8, 0.2, ProblemOptions{})
+	p := rowsProblem(t, plantedRows(rng, n, 8, 30, 0.1), ProblemOptions{})
 	kerC := run(p)
-	if kerC["sample.assign.dist_probes"] != int64(n-s)*int64(s) {
-		t.Errorf("kernel bulk probes = %d, want %d", kerC["sample.assign.dist_probes"], int64(n-s)*int64(s))
+	checkRows("coin", p, kerC)
+	if kerC["sample.assign.rows_decided"] >= n-s {
+		t.Errorf("rows_decided = %d: the repeated-row instance decided every object", kerC["sample.assign.rows_decided"])
 	}
 	if kerC["sample.assign.kernel_cols"] != n {
 		t.Errorf("kernel_cols = %d, want %d", kerC["sample.assign.kernel_cols"], n)
@@ -353,14 +395,13 @@ func TestSampleAssignCounters(t *testing.T) {
 	}
 
 	// MissingAverage with missing values takes the row route: histograms
-	// are registered at zero, probes still bulk-charged.
-	avgC := run(randMixedProblem(t, rng, n, 8, 0.2, ProblemOptions{MissingMode: MissingAverage}))
+	// are registered at zero, rows still decided once each.
+	avg := rowsProblem(t, plantedRows(rng, n, 8, 30, 0.2), ProblemOptions{MissingMode: MissingAverage})
+	avgC := run(avg)
 	if avgC["sample.assign.hist_builds"] != 0 {
 		t.Errorf("average-mode hist_builds = %d, want 0", avgC["sample.assign.hist_builds"])
 	}
-	if avgC["sample.assign.dist_probes"] != int64(n-s)*int64(s) {
-		t.Errorf("average-mode probes = %d, want %d", avgC["sample.assign.dist_probes"], int64(n-s)*int64(s))
-	}
+	checkRows("average", avg, avgC)
 }
 
 // FuzzLabelKernelEquiv drives DistRowTo and Dist against probeDist on

@@ -519,3 +519,177 @@ func lowerBoundRouteW[W labelWord](lk *labelKernel, lab []W, workers int, lattic
 	}
 	return scanRowPairs(lk, rows, cnt, nil, workers)
 }
+
+// rowsProblem builds a Problem from explicit label rows: rows[v][i] is
+// object v's label in clustering i (partition.Missing for a missing one).
+func rowsProblem(t testing.TB, rows [][]int, opts ProblemOptions) *Problem {
+	t.Helper()
+	cs := make([]partition.Labels, len(rows[0]))
+	for i := range cs {
+		cs[i] = make(partition.Labels, len(rows))
+		for v, r := range rows {
+			cs[i][v] = r[i]
+		}
+	}
+	p, err := NewProblem(cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// plantedRows returns n label rows over m clusterings that mostly repeat:
+// each row copies one of protos prototype rows with probability 0.9 and is
+// drawn afresh otherwise. Cells are labels 0..4, or missing with
+// probability pMiss.
+func plantedRows(rng *rand.Rand, n, m, protos int, pMiss float64) [][]int {
+	draw := func() []int {
+		r := make([]int, m)
+		for i := range r {
+			if rng.Float64() < pMiss {
+				r[i] = partition.Missing
+			} else {
+				r[i] = rng.Intn(5)
+			}
+		}
+		return r
+	}
+	ps := make([][]int, protos)
+	for i := range ps {
+		ps[i] = draw()
+	}
+	rows := make([][]int, n)
+	for v := range rows {
+		if rng.Float64() < 0.9 {
+			rows[v] = ps[rng.Intn(protos)]
+		} else {
+			rows[v] = draw()
+		}
+	}
+	return rows
+}
+
+// uniqueRows returns n pairwise distinct label rows over m clusterings: the
+// base-6 digits of n distinct random codes, digit 5 standing for a missing
+// label when withMissing (and the codes drawn from base 5 otherwise).
+func uniqueRows(rng *rand.Rand, n, m int, withMissing bool) [][]int {
+	base := 5
+	if withMissing {
+		base = 6
+	}
+	space := 1
+	for i := 0; i < m; i++ {
+		space *= base
+	}
+	rows := make([][]int, n)
+	for v, code := range rng.Perm(space)[:n] {
+		rows[v] = make([]int, m)
+		for i := range rows[v] {
+			if d := code % base; d == 5 {
+				rows[v][i] = partition.Missing
+			} else {
+				rows[v][i] = d
+			}
+			code /= base
+		}
+	}
+	return rows
+}
+
+// rowKeys returns each object's label row in p's input clusterings as a
+// string key, read from p.Clusterings() and never from the packed block.
+func rowKeys(p *Problem) []string {
+	keys := make([]string, p.N())
+	row := make([]int, len(p.Clusterings()))
+	for v := range keys {
+		for i, c := range p.Clusterings() {
+			row[i] = c[v]
+		}
+		keys[v] = fmt.Sprint(row)
+	}
+	return keys
+}
+
+// nonSampleRows counts the distinct label rows among the objects a sample
+// state leaves to the assignment pass (labels[v] == Missing).
+func nonSampleRows(p *Problem, labels partition.Labels) int64 {
+	seen := map[string]bool{}
+	for v, key := range rowKeys(p) {
+		if labels[v] == partition.Missing {
+			seen[key] = true
+		}
+	}
+	return int64(len(seen))
+}
+
+// sharedRows counts the distinct rows that sample members (labels[v] !=
+// Missing) share with non-sample objects, and how many of those carry a
+// missing label.
+func sharedRows(p *Problem, labels partition.Labels) (shared, withMissing int) {
+	keys := rowKeys(p)
+	sampled := map[string]int{} // row key → a sample member carrying it
+	for v, key := range keys {
+		if labels[v] != partition.Missing {
+			sampled[key] = v
+		}
+	}
+	for v, key := range keys {
+		u, ok := sampled[key]
+		if labels[v] != partition.Missing || !ok {
+			continue
+		}
+		delete(sampled, key)
+		shared++
+		for _, c := range p.Clusterings() {
+			if c[u] == partition.Missing {
+				withMissing++
+				break
+			}
+		}
+	}
+	return shared, withMissing
+}
+
+// checkAssignOracle runs assignKernel on copies of one sample state at
+// workers 1, 2 and 8 and at all three label widths, and requires labels bit
+// for bit equal to assignReference's and sample.assign.rows_decided equal
+// to the number of distinct non-sample rows. The wider packings multiply
+// clustering 0's labels by a factor — an injective relabeling, so the
+// sample state and every distance carry over — and leave the others
+// narrow, which keeps the co-label histograms small.
+func checkAssignOracle(t *testing.T, name string, p *Problem, labels partition.Labels, members [][]int) {
+	t.Helper()
+	want := labels.Clone()
+	assignReference(p, want, members)
+	rows := nonSampleRows(p, labels)
+	for _, w := range []struct{ factor, width int }{{1, width8}, {300, width16}, {1 << 14, width32}} {
+		cs := append([]partition.Labels(nil), p.Clusterings()...)
+		cs[0] = cs[0].Clone()
+		for v, l := range cs[0] {
+			if l != partition.Missing {
+				cs[0][v] = l * w.factor
+			}
+		}
+		wp, err := NewProblem(cs, ProblemOptions{Weights: p.weights, MissingMode: p.missingMode, MissingTogether: p.missingP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wp.kernel().width; got != w.width {
+			t.Fatalf("%s: factor %d packs at width %d, want %d", name, w.factor, got, w.width)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := labels.Clone()
+			rec := obs.New()
+			wp.assignKernel(rec, nil, got, members, workers)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s (width %d, workers %d): kernel and reference diverge at object %d: %d != %d",
+						name, w.width, workers, i, got[i], want[i])
+				}
+			}
+			if d := rec.Counters()["sample.assign.rows_decided"]; d != rows {
+				t.Errorf("%s (width %d, workers %d): rows_decided = %d, want %d", name, w.width, workers, d, rows)
+			}
+		}
+	}
+}

@@ -150,8 +150,8 @@ func TestRecorderSampleEquivalence(t *testing.T) {
 		t.Errorf("assigned %d + fresh %d != %d non-sampled objects",
 			counters["sample.assigned"], counters["sample.fresh_singletons"], 200-40)
 	}
-	if counters["sample.assign.dist_probes"] <= 0 {
-		t.Error("sample.assign.dist_probes not counted")
+	if d := counters["sample.assign.rows_decided"]; d <= 0 || d > 200-40 {
+		t.Errorf("sample.assign.rows_decided = %d, want in [1, %d]", d, 200-40)
 	}
 }
 

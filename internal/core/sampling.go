@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,11 +15,11 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// assignBatchSize is the number of objects one assignment batch covers: each
-// batch lands one observation in the sample.assign.batch.seconds histogram
-// and advances the shared progress counter once, so the instrumentation cost
-// is amortized across thousands of objects and stays invisible next to the
-// per-object evaluation work.
+// assignBatchSize is the number of objects one batch of the assignment's
+// scatter covers: each batch lands one observation in the
+// sample.assign.batch.seconds histogram and advances the shared progress
+// counter once, so the instrumentation cost is amortized across thousands
+// of objects.
 const assignBatchSize = 8192
 
 // reclusterCap bounds the subsets the sampling post-passes aggregate
@@ -146,19 +147,20 @@ func (p *Problem) finishSample(rec *obs.Recorder, method Method, aggOpts Aggrega
 	// or into a fresh singleton when that is cheaper — the LOCALSEARCH
 	// assignment cost; the refinement passes inside the exact core and the
 	// singleton recluster run the incremental LOCALSEARCH kernel with the
-	// same aggOpts.Workers cap (see corrclust.LocalSearch). Objects are
-	// independent, so the pass streams them on chunked worker stripes
-	// (capped by aggOpts.Workers); a fresh singleton takes the provisional
-	// label k+v, unique per object regardless of scheduling, and the final
-	// Normalize maps every worker count's labeling to the same clustering.
+	// same aggOpts.Workers cap (see corrclust.LocalSearch). The cost depends
+	// on v only through its label row, so the pass scores each distinct
+	// non-sample row once — O(m·k) through the columnar label kernel's
+	// co-label histograms (see labelkernel.go) — and copies the decision to
+	// every object carrying the row, on worker stripes capped by
+	// aggOpts.Workers. A fresh singleton takes the provisional label k+v,
+	// unique per object regardless of scheduling, and the final Normalize
+	// maps every worker count's labeling to the same clustering. Memory is
+	// O(d + m·L·k) for d distinct rows on top of labels; nothing is O(n²).
 	//
-	// The pass runs on the columnar label kernel's histogram assignment —
-	// O(m·k) per object with O(n·m + m·L·k) total memory, no O(n²)
-	// anything (see labelkernel.go).
 	// Sample membership needs no side table: labels was initialized to
 	// Missing everywhere and then set exactly on the sample positions, so
 	// labels[v] != Missing identifies the sample — one fewer O(n)
-	// allocation, and each assignment stripe only reads positions it owns.
+	// allocation; the pass also parks each object's row id in its own slot.
 	assignSpan := rec.Start("sample:assign")
 	workers := effectiveWorkers(aggOpts.Workers)
 	if workers > n {
@@ -185,23 +187,39 @@ func (p *Problem) finishSample(rec *obs.Recorder, method Method, aggOpts Aggrega
 	return labels.Normalize(), nil
 }
 
-// assignKernel is the assignment pass. The default route evaluates
-// M(v, C_c) for all k sample clusters through the co-label histograms in
-// one O(m·k) pass per object; under MissingAverage with missing labels
-// present — where per-pair vote denominators do not decompose per
-// clustering — it evaluates the sample members through the kernel's bulk
-// row path instead (still O(m·s) per object, but tight label compares, and
-// bit-identical to per-pair probing unconditionally). Objects stream on
-// contiguous chunk stripes. The tests pin this pass against a probing
-// reference (assignReference in oracle_test.go) on identical inputs.
+// assignKernel is the assignment pass. An object's cost of joining sample
+// cluster C_c, or a fresh singleton, depends on the object only through its
+// packed label row, so the pass decides once per distinct row, in three
+// phases over the non-sample objects (labels[v] == Missing):
 //
-// Counters: sample.assign.dist_probes is bulk-charged with the (n−s)·s
-// object/member pairs a probing pass would evaluate;
+//  1. Index: indexRows gives every distinct row an id in first-appearance
+//     order, keeps the row's first object as its exemplar, and parks each
+//     object's id in its own labels slot (parkID), so nothing sized by n is
+//     allocated.
+//  2. Decide: each id is scored once, from its exemplar, in fixed
+//     decideBlock-id blocks on parallelFor. The default route evaluates
+//     M(v, C_c) for all k sample clusters through the co-label histograms
+//     in one O(m·k) pass; under MissingAverage with missing labels present
+//     — where per-pair vote denominators do not decompose per clustering —
+//     it evaluates the sample members through the kernel's bulk row path
+//     instead (O(m·s), tight label compares, bit-identical to per-pair
+//     probing unconditionally). Both read only the exemplar's row (and its
+//     missing flag, a function of the row), and an exemplar is never a
+//     sample object, so the row route's u == v zero never fires: every
+//     object gets exactly the decision its own scoring would give.
+//  3. Scatter: objects stream on contiguous chunk stripes and take their
+//     row's decision; a fresh singleton takes the provisional label k+v.
+//
+// The tests pin this pass against a probing reference (assignReference in
+// oracle_test.go) on identical inputs.
+//
+// Counters: sample.assign.rows_decided counts the distinct rows scored
+// (worker-independent: the index is built on one goroutine);
 // sample.assign.kernel_cols records the n packed label columns and
 // sample.assign.hist_builds the per-clustering histogram builds (0 on the
-// row route). Batch latencies land in sample.assign.batch.seconds and the
-// shared progress counter ticks once per batch (Done = objects scanned so
-// far across all chunks, Total = n).
+// row route). Scatter batch latencies land in sample.assign.batch.seconds
+// and the shared progress counter ticks once per batch (Done = objects
+// scattered so far across all chunks, Total = n).
 func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
 	n, k := p.n, len(members)
 	lk := p.kernel()
@@ -210,13 +228,7 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 	var hist *colabelHist
 	var flat []int // row route: sample members flattened in cluster order
 	var ends []int // per-cluster segment ends into flat
-	sampleSize := 0
-	for _, mem := range members {
-		sampleSize += len(mem)
-	}
 	if lk.average && lk.anyMiss {
-		flat = make([]int, 0, sampleSize)
-		ends = make([]int, 0, k)
 		for _, mem := range members {
 			flat = append(flat, mem...)
 			ends = append(ends, len(flat))
@@ -226,7 +238,52 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		hist = lk.buildColabelHist(members)
 		rec.Add("sample.assign.hist_builds", int64(lk.m))
 	}
-	rec.Add("sample.assign.dist_probes", int64(n-sampleSize)*int64(sampleSize))
+
+	// decision[id] starts as the id's exemplar object and is overwritten
+	// with its decision: a sample cluster, or −1 for a fresh singleton.
+	decision := lk.indexRows(labels)
+	d := len(decision)
+	rec.Add("sample.assign.rows_decided", int64(d))
+	parallelFor((d+decideBlock-1)/decideBlock, workers, "sample:assign", func(blk int) {
+		affPtr, aff := getF64(k)
+		defer putF64(affPtr)
+		var buf []float64
+		if hist == nil {
+			bufPtr, b := getF64(len(flat))
+			defer putF64(bufPtr)
+			buf = b
+		}
+		for id := blk * decideBlock; id < min((blk+1)*decideBlock, d); id++ {
+			v := int(decision[id])
+			if hist != nil {
+				hist.affinities(lk, v, aff)
+			} else {
+				lk.DistRowTo(v, flat, buf)
+				start := 0
+				for ci, end := range ends {
+					var s float64
+					for _, x := range buf[start:end] {
+						s += x
+					}
+					aff[ci] = s
+					start = end
+				}
+			}
+			var totalAway float64
+			for ci := range members {
+				totalAway += float64(len(members[ci])) - aff[ci]
+			}
+			bestC, bestCost := -1, totalAway // -1 = fresh singleton
+			for ci := range members {
+				c := aff[ci] + totalAway - (float64(len(members[ci])) - aff[ci])
+				if c < bestCost {
+					bestC, bestCost = ci, c
+				}
+			}
+			decision[id] = int32(bestC)
+		}
+	})
+
 	var batchHist *obs.Histogram
 	var tpSeries *obs.Series
 	if rec != nil {
@@ -234,60 +291,23 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		tpSeries = rec.Series("sample.assign.throughput")
 	}
 	var done atomic.Int64
-
 	counts := make([][2]int64, workers) // assigned, fresh per stripe
-	assignChunk := func(stripe, lo, hi int) {
-		mPtr, m := getF64(k)
-		defer putF64(mPtr)
-		var buf []float64
-		if hist == nil {
-			bufPtr, b := getF64(len(flat))
-			defer putF64(bufPtr)
-			buf = b
-		}
+	scatterChunk := func(stripe, lo, hi int) {
 		for bLo := lo; bLo < hi; bLo += assignBatchSize {
-			bHi := bLo + assignBatchSize
-			if bHi > hi {
-				bHi = hi
-			}
+			bHi := min(bLo+assignBatchSize, hi)
 			var batchStart time.Time
 			if batchHist != nil {
 				batchStart = time.Now()
 			}
 			for v := bLo; v < bHi; v++ {
-				if labels[v] != partition.Missing {
+				if labels[v] >= 0 { // sample object
 					continue
 				}
-				if hist != nil {
-					hist.affinities(lk, v, m)
-				} else {
-					lk.DistRowTo(v, flat, buf)
-					start := 0
-					for ci, end := range ends {
-						var s float64
-						for _, x := range buf[start:end] {
-							s += x
-						}
-						m[ci] = s
-						start = end
-					}
-				}
-				var totalAway float64
-				for ci := range members {
-					totalAway += float64(len(members[ci])) - m[ci]
-				}
-				bestC, bestCost := -1, totalAway // -1 = fresh singleton
-				for ci := range members {
-					d := m[ci] + totalAway - (float64(len(members[ci])) - m[ci])
-					if d < bestCost {
-						bestC, bestCost = ci, d
-					}
-				}
-				if bestC == -1 {
+				if c := decision[parkedID(labels[v])]; c < 0 {
 					labels[v] = k + v
 					counts[stripe][1]++
 				} else {
-					labels[v] = bestC
+					labels[v] = int(c)
 					counts[stripe][0]++
 				}
 			}
@@ -307,16 +327,13 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		}
 	}
 	if workers <= 1 {
-		assignChunk(0, 0, n)
+		scatterChunk(0, 0, n)
 	} else {
 		chunk := (n + workers - 1) / workers
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+chunk, n)
 			if lo >= hi {
 				break
 			}
@@ -324,7 +341,7 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 			go func(stripe, lo, hi int) {
 				defer wg.Done()
 				obs.Do(obs.ProfLabels{Phase: "sample:assign", Worker: strconv.Itoa(stripe)}, func() {
-					assignChunk(stripe, lo, hi)
+					scatterChunk(stripe, lo, hi)
 				})
 			}(w, lo, hi)
 		}
@@ -335,6 +352,88 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		fresh += c[1]
 	}
 	return assigned, fresh
+}
+
+// decideBlock is the number of row ids one parallelFor unit of the
+// assignment's decide phase scores.
+const decideBlock = 256
+
+// parkID encodes a row id in a labels slot between the assignment's index
+// and scatter phases: −(id+2) stays clear of every cluster label (≥ 0) and
+// of Missing (−1). parkedID decodes it.
+func parkID(id int) int  { return -id - 2 }
+func parkedID(c int) int { return -c - 2 }
+
+// indexRows gives the packed label row of every object with labels[v] ==
+// Missing an id, in first-appearance order, parks the id in labels[v]
+// (parkID), and returns each id's exemplar: the first object carrying the
+// row. Rows are found in one open-addressed table of int32 slots (id+1, 0
+// empty) kept at most half full, compared by content at every width, so
+// the index costs O(d) memory for d distinct rows and expected O(m) time
+// per object. It runs on one goroutine, so ids never depend on workers.
+func (lk *labelKernel) indexRows(labels partition.Labels) []int32 {
+	switch lk.width {
+	case width8:
+		return indexRowsW(lk.lab8, lk.m, labels)
+	case width16:
+		return indexRowsW(lk.lab16, lk.m, labels)
+	default:
+		return indexRowsW(lk.lab32, lk.m, labels)
+	}
+}
+
+// indexRowsW is the width-specialized indexRows.
+func indexRowsW[W labelWord](lab []W, m int, labels partition.Labels) []int32 {
+	row := func(v int) []W { return lab[v*m : v*m+m] }
+	slots := make([]int32, 256)
+	exemplars := make([]int32, 0, len(slots)/2)
+	for v, c := range labels {
+		if c != partition.Missing {
+			continue
+		}
+		r := row(v)
+		mask := len(slots) - 1
+		i, id := int(hashRow(r))&mask, -1
+		for ; slots[i] != 0; i = (i + 1) & mask {
+			if e := slots[i] - 1; slices.Equal(row(int(exemplars[e])), r) {
+				id = int(e)
+				break
+			}
+		}
+		if id < 0 {
+			id = len(exemplars)
+			slots[i] = int32(id + 1)
+			exemplars = append(exemplars, int32(v))
+			if 2*len(exemplars) > len(slots) {
+				// Double the table; the exemplars' capacity follows it,
+				// so every slice the index allocates is sized by d.
+				slots = make([]int32, 2*len(slots))
+				mask = len(slots) - 1
+				for e, u := range exemplars {
+					j := int(hashRow(row(int(u)))) & mask
+					for slots[j] != 0 {
+						j = (j + 1) & mask
+					}
+					slots[j] = int32(e + 1)
+				}
+				exemplars = append(make([]int32, 0, len(slots)/2), exemplars...)
+			}
+		}
+		labels[v] = parkID(id)
+	}
+	return exemplars
+}
+
+// hashRow hashes one packed label row: FNV-1a over the labels, then a
+// 64-bit finalizer so the low bits the table masks by mix every label.
+func hashRow[W labelWord](r []W) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, x := range r {
+		h = (h ^ uint64(x)) * 0x100000001b3
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
 }
 
 // shardTarget is the auto-sizing granularity for SamplingOptions.Shards:
@@ -449,9 +548,9 @@ func resolveShards(requested, n int) int {
 //     set with the noise rate) and aggregate the representatives (exactly,
 //     or by a recursive single-level Sample when there are many);
 //  4. route every object through the shared assignment/recluster back half
-//     against the representative clusters — the same O(m·k)-per-object
-//     histogram pass as single-level SAMPLING, now with k the number of
-//     representative clusters.
+//     against the representative clusters — the same once-per-distinct-row
+//     histogram pass as single-level SAMPLING, O(m·k) per row, now with k
+//     the number of representative clusters.
 //
 // Telemetry: sample.shards and sample.shard.reps counters, sample:shards /
 // sample:reps spans, a sample.shard.k series (per-shard representative
@@ -497,8 +596,9 @@ func (p *Problem) sampleSharded(method Method, aggOpts AggregateOptions, sOpts S
 		// share of the inputs. Only clusters with at least two members send
 		// a representative up — a shard-level singleton is an object the
 		// shard could not cluster, and promoting every one would grow the
-		// representative set (and the O(m·k)-per-object cost of the final
-		// assignment) with the noise rate instead of the cluster structure.
+		// representative set (and the O(m·k)-per-distinct-row cost of the
+		// final assignment) with the noise rate instead of the cluster
+		// structure.
 		// Skipped objects are not lost: they re-enter at the final
 		// assignment like every other non-sample object and fall to the
 		// singleton recluster if they still fit nowhere.
