@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race test-race check cover bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-objective fuzz-widths fuzz-ingest clean
+.PHONY: all build test vet lint race test-race check cover bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-objective fuzz-widths fuzz-ingest loc clean
 
 all: build test
 
@@ -95,7 +95,9 @@ bench-short:
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
 # paths (pooled assignment scratch, kernel distance rows, packed label
 # accessors, CSV interning) hold their zero-/constant-allocation steady
-# state, plus byte budgets for the objective (TestObjectiveAllocs). Part of
+# state, plus byte budgets for the objective (TestObjectiveAllocs), the
+# assignment pass (TestAssignKernelAllocs) and wide-label materialization
+# (TestMatrixWideLabelAllocs). Part of
 # `make check`; any new per-object allocation fails here before it shows up
 # as a benchdiff alloc regression.
 bench-mem:
@@ -173,6 +175,11 @@ fuzz:
 	$(GO) test -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run '^FuzzNormalize$$' -fuzz '^FuzzNormalize$$' -fuzztime 30s ./internal/partition/
 	$(GO) test -run '^FuzzDistance$$' -fuzz '^FuzzDistance$$' -fuzztime 30s ./internal/partition/
+
+# Tracked size of the program: non-test Go lines outside perfbench/ (the
+# benchmark harness) and the benchmark's build directory.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

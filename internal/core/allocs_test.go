@@ -239,3 +239,36 @@ func TestAssignKernelAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixWideLabelAllocs pins materialization's memory to the matrix and
+// the inputs, never to the label alphabet: clusterings relabeled ×70000
+// build the same matrix bit for bit, in both missing modes, within the
+// matrix's own bytes (8 per pair, plus the average mode's 12 bytes of votes
+// and miss counts) and O(n·m) for the member lists — a member table sized
+// by the largest label (24 bytes per label value per clustering) breaks it.
+func TestMatrixWideLabelAllocs(t *testing.T) {
+	const n, m = 300, 6
+	pairs := n * (n - 1) / 2
+	for _, tc := range []struct {
+		opts    ProblemOptions
+		perPair int
+	}{
+		{ProblemOptions{MissingTogether: 0.5}, 8},
+		{ProblemOptions{MissingMode: MissingAverage}, 20},
+	} {
+		p := randMixedProblem(t, rand.New(rand.NewSource(1413)), n, m, 0.2, tc.opts)
+		wide := widenLabels(t, p, 70000)
+		want, got := p.Matrix(), wide.Matrix()
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if g, w := got.Dist(u, v), want.Dist(u, v); g != w {
+					t.Fatalf("mode %v: X(%d,%d) = %v on wide labels, %v on narrow", tc.opts.MissingMode, u, v, g, w)
+				}
+			}
+		}
+		budget := uint64(tc.perPair*pairs + 64*n*m + 8192)
+		if b := allocBytes(3, func() { wide.Matrix() }); b > budget {
+			t.Errorf("mode %v: Matrix on ×70000 labels allocates %d bytes, want ≤ %d = O(n² + n·m)", tc.opts.MissingMode, b, budget)
+		}
+	}
+}

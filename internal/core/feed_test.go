@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -272,9 +275,9 @@ func TestSampleFeedFallbacks(t *testing.T) {
 }
 
 // TestSampleFeedTelemetry: the pipelined run must emit the same sharding
-// counters and per-shard series as the drain-then-compute sampleSharded,
-// plus per-shard lane spans under sample:shards, and deliver one progress
-// event per completed shard.
+// counters, events and per-shard series as Problem.Sample, one lane span
+// per shard under sample:shards, and one progress event per completed
+// shard.
 func TestSampleFeedTelemetry(t *testing.T) {
 	withShardTarget(t, 64)
 	rng := rand.New(rand.NewSource(461))
@@ -327,26 +330,18 @@ func TestSampleFeedTelemetry(t *testing.T) {
 		}
 	}
 
-	var lanes int
-	var walk func([]obs.SpanSnapshot, string)
-	names := map[string]bool{}
-	walk = func(spans []obs.SpanSnapshot, parent string) {
-		for _, s := range spans {
-			names[s.Name] = true
-			if s.Name == "sample:shard" && parent == "sample:shards" {
-				lanes++
-			}
-			walk(s.Children, s.Name)
-		}
-	}
-	walk(recGot.Spans(), "")
+	names := spanNames(recGot)
 	for _, want := range []string{"sample", "sample:shards", "sample:reps", "sample:assign"} {
 		if !names[want] {
 			t.Errorf("span %q missing (have %v)", want, names)
 		}
 	}
-	if lanes != 5 {
+	if lanes := len(shardLanes(recGot)); lanes != 5 {
 		t.Errorf("%d sample:shard lanes, want 5", lanes)
+	}
+	wantEv, gotEv := shardEvents(recWant), shardEvents(recGot)
+	if len(wantEv) != 2 || !reflect.DeepEqual(gotEv, wantEv) {
+		t.Errorf("shard events %v, Sample %v", gotEv, wantEv)
 	}
 
 	// Workers=1 serializes the shard consumers, so the per-shard progress
@@ -362,6 +357,97 @@ func TestSampleFeedTelemetry(t *testing.T) {
 			t.Errorf("event %d = %d/%d after %d, want increasing Done in [1,5] with Total 0", i, e.Done, e.Total, prev)
 		}
 		prev = e.Done
+	}
+}
+
+// spanNames returns the names of every span rec recorded.
+func spanNames(rec *obs.Recorder) map[string]bool {
+	names := map[string]bool{}
+	var walk func([]obs.SpanSnapshot)
+	walk = func(spans []obs.SpanSnapshot) {
+		for _, s := range spans {
+			names[s.Name] = true
+			walk(s.Children)
+		}
+	}
+	walk(rec.Spans())
+	return names
+}
+
+// shardLanes returns the durations of the sample:shard lanes under
+// sample:shards, in recording order.
+func shardLanes(rec *obs.Recorder) []int64 {
+	var lanes []int64
+	var walk func([]obs.SpanSnapshot, string)
+	walk = func(spans []obs.SpanSnapshot, parent string) {
+		for _, s := range spans {
+			if s.Name == "sample:shard" && parent == "sample:shards" {
+				lanes = append(lanes, s.DurationNS)
+			}
+			walk(s.Children, s.Name)
+		}
+	}
+	walk(rec.Spans(), "")
+	return lanes
+}
+
+// shardEvents returns the message and attributes of rec's sample.shards
+// and sample.shard.reps events, in emission order.
+func shardEvents(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, e := range rec.EventsSnapshot().Entries {
+		if e.Msg == "sample.shards" || e.Msg == "sample.shard.reps" {
+			out = append(out, obs.Event{Msg: e.Msg, Attrs: e.Attrs})
+		}
+	}
+	return out
+}
+
+// TestShardErrorSurfaces: a failing shard fails the run with its index
+// from both drivers of the shard tree, and the call returns only after
+// every in-flight shard has ended — every sample:shard lane is closed when
+// it returns, and no shard goroutine outlives it.
+func TestShardErrorSurfaces(t *testing.T) {
+	withShardTarget(t, 64)
+	cols := feedCols(rand.New(rand.NewSource(467)), 300, 3, 0.1, -1, 0)
+	bad := Method(99)
+	before := runtime.NumGoroutine()
+	check := func(name string, rec *obs.Recorder, err error) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), "core: shard 0/5: ") {
+			t.Errorf("%s: err = %v, want a core: shard 0/5 error", name, err)
+		}
+		lanes := shardLanes(rec)
+		if len(lanes) != 5 {
+			t.Errorf("%s: %d sample:shard lanes, want 5", name, len(lanes))
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines still running, %d before the run", name, runtime.NumGoroutine(), before)
+			}
+		}
+		// An open lane reports its duration so far, so it would have grown.
+		if again := shardLanes(rec); !slices.Equal(again, lanes) {
+			t.Errorf("%s: a sample:shard lane was still open when the call returned", name)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		rec := obs.New()
+		_, err := packCols(t, cols, ProblemOptions{}).Sample(bad, AggregateOptions{Workers: workers}, SamplingOptions{
+			SampleSize: 20, Recorder: rec,
+		})
+		check(fmt.Sprintf("Sample workers=%d", workers), rec, err)
+
+		rec = obs.New()
+		f, err := NewSampleFeed(3, ProblemOptions{}, bad, AggregateOptions{Workers: workers}, SamplingOptions{
+			SampleSize: 20, Recorder: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushBatches(t, f, cols, 31)
+		_, err = f.Finish()
+		check(fmt.Sprintf("SampleFeed workers=%d", workers), rec, err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"strconv"
-	"sync"
 	"time"
 
 	"clusteragg/internal/corrclust"
@@ -56,7 +53,11 @@ type clusteringBlocks struct {
 // missing sets. It reads the Problem's []int views: the caller's slices on
 // a NewProblem problem, otherwise unpacked once and cached — on the
 // sampling path materialization only ever applies to small subproblems, so
-// those views stay proportional to the sample, not n.
+// those views stay proportional to the sample, not n. A clustering whose
+// labels span more than denseLabelCap(n) values is compacted to
+// first-appearance ids, so the member table follows n, never the label
+// alphabet; each pair lies in at most one cluster of a clustering, so the
+// order of the blocks changes no cell's arithmetic.
 func (p *Problem) blocksOf() []clusteringBlocks {
 	cs := p.labelViews()
 	blocks := make([]clusteringBlocks, len(cs))
@@ -68,6 +69,16 @@ func (p *Problem) blocksOf() []clusteringBlocks {
 				k = l + 1
 			}
 		}
+		var ids map[int]int
+		if k > denseLabelCap(p.n) {
+			ids = make(map[int]int)
+			for _, l := range c {
+				if _, ok := ids[l]; !ok && l != partition.Missing {
+					ids[l] = len(ids)
+				}
+			}
+			k = len(ids)
+		}
 		b.members = make([][]int, k)
 		for obj, l := range c {
 			if l == partition.Missing {
@@ -76,9 +87,12 @@ func (p *Problem) blocksOf() []clusteringBlocks {
 				}
 				b.mask[obj] = true
 				b.missing = append(b.missing, obj)
-			} else {
-				b.members[l] = append(b.members[l], obj)
+				continue
 			}
+			if ids != nil {
+				l = ids[l]
+			}
+			b.members[l] = append(b.members[l], obj)
 		}
 		blocks[i] = b
 	}
@@ -133,12 +147,7 @@ func (p *Problem) materialize(rec *obs.Recorder, workers int) *corrclust.Matrix 
 	}
 	n := p.n
 	mx := corrclust.NewMatrix(n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(effectiveWorkers(workers), n)
 	if workers < 1 || n < materializeMinParallel {
 		workers = 1
 	}
@@ -157,21 +166,9 @@ func (p *Problem) materialize(rec *obs.Recorder, workers int) *corrclust.Matrix 
 		missCnt = make([]int32, int64(n)*int64(n-1)/2)
 	}
 
-	if workers == 1 {
-		p.materializeStripe(mx, blocks, votes, missCnt, 0, 1)
-		return mx
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stripe int) {
-			defer wg.Done()
-			obs.Do(obs.ProfLabels{Phase: "materialize", Worker: strconv.Itoa(stripe)}, func() {
-				p.materializeStripe(mx, blocks, votes, missCnt, stripe, workers)
-			})
-		}(w)
-	}
-	wg.Wait()
+	parallelFor(workers, workers, "materialize", func(stripe int) {
+		p.materializeStripe(mx, blocks, votes, missCnt, stripe, workers)
+	})
 	return mx
 }
 

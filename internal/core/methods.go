@@ -322,10 +322,11 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		err     error
 	}
 	results := make([]raced, len(methods))
-	run := func(i int, method Method) {
+	parallelFor(len(methods), opts.Workers, "bestof", func(i int) {
 		// Each racer re-labels itself (phase + method): pprof.Do replaces
-		// rather than merges, and the goroutine otherwise inherits only the
-		// spawner's generic bestof labels.
+		// rather than merges, and the pool's worker carries only the phase
+		// and worker labels.
+		method := methods[i]
 		obs.Do(obs.ProfLabels{Phase: "bestof", Method: method.Slug(), Worker: strconv.Itoa(i)}, func() {
 			mopts := opts
 			mopts.Rand = rngs[i] // nil for the deterministic methods, which ignore it
@@ -342,30 +343,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 			cost := corrclust.Cost(counting(inst, rec, method.Slug()+".dist_probes"), labels)
 			results[i] = raced{labels: labels, cost: cost, elapsed: time.Since(start)}
 		})
-	}
-
-	workers := effectiveWorkers(opts.Workers)
-	if workers > len(methods) {
-		workers = len(methods)
-	}
-	if workers <= 1 {
-		for i, method := range methods {
-			run(i, method)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, method := range methods {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, method Method) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i, method)
-			}(i, method)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Deterministic selection: first error in method order wins; otherwise
 	// the lowest cost, ties broken toward the earlier method.

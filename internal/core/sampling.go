@@ -9,17 +9,14 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
 // assignBatchSize is the number of objects one batch of the assignment's
-// scatter covers: each batch lands one observation in the
-// sample.assign.batch.seconds histogram and advances the shared progress
-// counter once, so the instrumentation cost is amortized across thousands
-// of objects.
+// scatter covers: each batch advances the shared progress counter once, so
+// the instrumentation cost is amortized across thousands of objects.
 const assignBatchSize = 8192
 
 // reclusterCap bounds the subsets the sampling post-passes aggregate
@@ -162,10 +159,7 @@ func (p *Problem) finishSample(rec *obs.Recorder, method Method, aggOpts Aggrega
 	// labels[v] != Missing identifies the sample — one fewer O(n)
 	// allocation; the pass also parks each object's row id in its own slot.
 	assignSpan := rec.Start("sample:assign")
-	workers := effectiveWorkers(aggOpts.Workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(effectiveWorkers(aggOpts.Workers), n)
 	if n-s < materializeMinParallel {
 		workers = 1
 	}
@@ -217,9 +211,8 @@ func (p *Problem) finishSample(rec *obs.Recorder, method Method, aggOpts Aggrega
 // (worker-independent: the index is built on one goroutine);
 // sample.assign.kernel_cols records the n packed label columns and
 // sample.assign.hist_builds the per-clustering histogram builds (0 on the
-// row route). Scatter batch latencies land in sample.assign.batch.seconds
-// and the shared progress counter ticks once per batch (Done = objects
-// scattered so far across all chunks, Total = n).
+// row route). The shared progress counter ticks once per scatter batch
+// (Done = objects scattered so far across all stripes, Total = n).
 func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
 	n, k := p.n, len(members)
 	lk := p.kernel()
@@ -284,22 +277,13 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		}
 	})
 
-	var batchHist *obs.Histogram
-	var tpSeries *obs.Series
-	if rec != nil {
-		batchHist = rec.Histogram("sample.assign.batch.seconds", nil)
-		tpSeries = rec.Series("sample.assign.throughput")
-	}
 	var done atomic.Int64
+	chunk := (n + workers - 1) / workers
 	counts := make([][2]int64, workers) // assigned, fresh per stripe
-	scatterChunk := func(stripe, lo, hi int) {
-		for bLo := lo; bLo < hi; bLo += assignBatchSize {
-			bHi := min(bLo+assignBatchSize, hi)
-			var batchStart time.Time
-			if batchHist != nil {
-				batchStart = time.Now()
-			}
-			for v := bLo; v < bHi; v++ {
+	parallelFor((n+chunk-1)/chunk, workers, "sample:assign", func(stripe int) {
+		for lo, hi := stripe*chunk, min((stripe+1)*chunk, n); lo < hi; lo += assignBatchSize {
+			bHi := min(lo+assignBatchSize, hi)
+			for v := lo; v < bHi; v++ {
 				if labels[v] >= 0 { // sample object
 					continue
 				}
@@ -311,42 +295,11 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 					counts[stripe][0]++
 				}
 			}
-			d := done.Add(int64(bHi - bLo))
-			if batchHist != nil {
-				sec := time.Since(batchStart).Seconds()
-				batchHist.Observe(sec)
-				// Per-batch throughput (objects/s), stepped by the shared
-				// scan position. Timing-bearing, so benchdiff ignores it.
-				if sec > 0 {
-					tpSeries.Append(d, float64(bHi-bLo)/sec)
-				}
-			}
 			progress.Emit(obs.ProgressEvent{
-				Stage: "sample:assign", Done: d, Total: int64(n),
+				Stage: "sample:assign", Done: done.Add(int64(bHi - lo)), Total: int64(n),
 			})
 		}
-	}
-	if workers <= 1 {
-		scatterChunk(0, 0, n)
-	} else {
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, n)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(stripe, lo, hi int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "sample:assign", Worker: strconv.Itoa(stripe)}, func() {
-					scatterChunk(stripe, lo, hi)
-				})
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 	for _, c := range counts {
 		assigned += c[0]
 		fresh += c[1]
@@ -472,10 +425,8 @@ func shardRange(i, n, shards int, auto bool) (lo, hi int) {
 
 // shardSample aggregates one shard subproblem: a full single-level Sample,
 // single-threaded (parallelism lives across shards) and unrecorded (its
-// scheduling is nondeterministic), seeded from the shard's pre-drawn seed.
-// Both the drain-then-compute path (sampleSharded) and the pipelined one
-// (SampleFeed) go through here, so a shard's labels depend only on its rows
-// and seed — never on which driver ran it.
+// scheduling is nondeterministic), seeded from the shard's seed, so a
+// shard's labels depend only on its rows and seed.
 func shardSample(sp *Problem, method Method, aggOpts AggregateOptions, sOpts SamplingOptions, seed int64) (partition.Labels, error) {
 	inner := aggOpts
 	inner.Workers = 1
@@ -534,137 +485,166 @@ func resolveShards(requested, n int) int {
 	return s
 }
 
-// sampleSharded is the two-level SAMPLING tree (SamplingOptions.Shards):
+// shardTree is the two-level SAMPLING tree (SamplingOptions.Shards), the one
+// engine behind both sharded drivers: Problem.sampleSharded adds zero-copy
+// range views of an in-memory problem, and SampleFeed adds each fixed-size
+// segment the moment ingest seals it. The tree
 //
-//  1. partition the objects into `shards` contiguous ranges;
-//  2. aggregate each shard independently with a full single-level Sample on
-//     the non-materialized kernel path — shards run in parallel on the
-//     Workers pool, each single-threaded and seeded from a pre-drawn
-//     per-shard seed, so the shard clusterings are bit-identical for every
-//     worker count;
-//  3. take the first member of each non-singleton shard cluster as its
-//     representative (singleton shard clusters are noise the top-level
-//     recluster pass handles; promoting them would scale the representative
-//     set with the noise rate) and aggregate the representatives (exactly,
-//     or by a recursive single-level Sample when there are many);
-//  4. route every object through the shared assignment/recluster back half
-//     against the representative clusters — the same once-per-distinct-row
-//     histogram pass as single-level SAMPLING, O(m·k) per row, now with k
-//     the number of representative clusters.
+//  1. aggregates each shard independently with shardSample — a full
+//     single-level Sample on the non-materialized kernel path,
+//     single-threaded and unrecorded, seeded from a seed drawn from the
+//     caller's rng in shard order. Shards run on goroutines bounded by a
+//     Workers-sized semaphore, which also backpressures a streaming
+//     producer;
+//  2. sends up the first member of each non-singleton shard cluster as its
+//     representative (shardReps). A shard-level singleton is an object the
+//     shard could not cluster: promoting every one would grow the
+//     representative set, and the O(m·k)-per-distinct-row cost of the
+//     final assignment, with the noise rate. Such objects are not lost —
+//     they re-enter at the final assignment like every other non-sample
+//     object and fall to the singleton recluster if they still fit
+//     nowhere;
+//  3. aggregates the representatives with an rng drawn right after the
+//     last shard seed: exactly when they fit the materialized core
+//     (reclusterCap), by a recursive single-level Sample otherwise;
+//  4. routes every object through the shared assignment/recluster back
+//     half (finishSample) against the representative clusters.
 //
-// Telemetry: sample.shards and sample.shard.reps counters, sample:shards /
-// sample:reps spans, a sample.shard.k series (per-shard representative
-// counts in shard order), and per-completed-shard progress events. Inner shard
-// aggregations run unrecorded (their scheduling is nondeterministic); all
-// shard telemetry is appended after the parallel section, in shard order,
-// so reports are deterministic.
-func (p *Problem) sampleSharded(method Method, aggOpts AggregateOptions, sOpts SamplingOptions, rng *rand.Rand, shards int) (partition.Labels, error) {
-	rec := aggOpts.Recorder
-	n := p.n
-	span := rec.Start("sample")
-	defer span.End()
+// A shard's labels depend only on its rows and seed, and both drivers
+// consume the rng in the same order, so the result is bit-identical for
+// every driver, Workers setting, ingest batching and kernel width.
+//
+// Telemetry: a sample span holding sample:shards (one sample:shard lane per
+// shard, recording its wall-clock interval so ingest/compute overlap shows
+// in Chrome traces) and sample:reps; one sample:shards progress tick per
+// completed shard (Total = shard count, or 0 while streaming); and, once
+// every shard has ended, in shard order so reports are deterministic, the
+// sample.shards and sample.shard.reps counters and events and the
+// sample.shard.k series (representatives per shard).
+type shardTree struct {
+	method  Method
+	aggOpts AggregateOptions
+	sOpts   SamplingOptions
+	rng     *rand.Rand
+	total   int64 // progress Total: the shard count, 0 while streaming
+
+	span, shardsSpan *obs.Span
+	sem              chan struct{}
+	wg               sync.WaitGroup
+	done             atomic.Int64
+	outs             []*shardOut
+	repRng           *rand.Rand // drawn by wait
+}
+
+// shardOut is one shard's result: its representatives (global object
+// indices, ascending) or its error.
+type shardOut struct {
+	reps []int
+	err  error
+}
+
+// openShardTree starts the sample and sample:shards spans on
+// aggOpts.Recorder and sizes the shard semaphore by aggOpts.Workers.
+func openShardTree(method Method, aggOpts AggregateOptions, sOpts SamplingOptions, rng *rand.Rand, total int) *shardTree {
+	t := &shardTree{method: method, aggOpts: aggOpts, sOpts: sOpts, rng: rng, total: int64(total)}
+	t.span = aggOpts.Recorder.Start("sample")
+	t.shardsSpan = t.span.StartChild("sample:shards")
+	t.sem = make(chan struct{}, effectiveWorkers(aggOpts.Workers))
+	return t
+}
+
+// add draws the next shard's seed and aggregates sp, whose first row is
+// global object lo, on a goroutine once the semaphore admits it. Shards
+// must be added in row order.
+func (t *shardTree) add(sp *Problem, lo int) {
+	seed := t.rng.Int63()
+	out := &shardOut{}
+	t.outs = append(t.outs, out)
+	shard := len(t.outs) - 1
+	lane := t.shardsSpan.StartChild("sample:shard")
+	t.wg.Add(1)
+	t.sem <- struct{}{}
+	go func() {
+		defer t.wg.Done()
+		defer func() { <-t.sem }()
+		obs.Do(obs.ProfLabels{Phase: "sample:shards", Worker: strconv.Itoa(shard)}, func() {
+			labels, err := shardSample(sp, t.method, t.aggOpts, t.sOpts, seed)
+			if err != nil {
+				out.err = err
+			} else {
+				out.reps = shardReps(labels, lo)
+			}
+		})
+		lane.End()
+		t.aggOpts.Progress.Emit(obs.ProgressEvent{
+			Stage: "sample:shards", Done: t.done.Add(1), Total: t.total,
+		})
+	}()
+}
+
+// wait draws the representative-level rng, right after the last shard
+// seed, and blocks until every added shard has ended. A second call only
+// waits.
+func (t *shardTree) wait() {
+	if t.repRng == nil {
+		t.repRng = rand.New(rand.NewSource(t.rng.Int63()))
+	}
+	t.wg.Wait()
+}
+
+// finish waits for the shards and completes the tree on p, the problem over
+// the rows of every shard, ending the sample span. The first failed shard,
+// in shard order, fails the run.
+func (t *shardTree) finish(p *Problem) (partition.Labels, error) {
+	defer t.span.End()
+	t.wait()
+	rec, shards := t.aggOpts.Recorder, len(t.outs)
 	rec.Add("sample.shards", int64(shards))
 	// Auto-sizing decision, narrated: requested 0 means the count came from
 	// the fixed shardTarget segmentation.
-	rec.Event("sample.shards", "shards", shards, "n", n, "auto", sOpts.Shards == 0)
-
-	// Pre-draw the per-shard seeds plus the representative-level seed in
-	// shard order, before anything runs: the randomness each level consumes
-	// is then independent of scheduling.
-	seeds := make([]int64, shards)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	repRng := rand.New(rand.NewSource(rng.Int63()))
-
-	shardSpan := rec.Start("sample:shards")
-	type shardOut struct {
-		reps []int // first member of each shard cluster, ascending
-		err  error
-	}
-	outs := make([]shardOut, shards)
-	workers := effectiveWorkers(aggOpts.Workers)
-	if workers > shards {
-		workers = shards
-	}
-	var done atomic.Int64
-	auto := sOpts.Shards == 0
-	runShard := func(i int) {
-		lo, hi := shardRange(i, n, shards, auto)
-		// Contiguous ranges alias the parent's labels (subProblemRange) —
-		// a shard subproblem costs a Problem header, not a copy of its
-		// share of the inputs. Only clusters with at least two members send
-		// a representative up — a shard-level singleton is an object the
-		// shard could not cluster, and promoting every one would grow the
-		// representative set (and the O(m·k)-per-distinct-row cost of the
-		// final assignment) with the noise rate instead of the cluster
-		// structure.
-		// Skipped objects are not lost: they re-enter at the final
-		// assignment like every other non-sample object and fall to the
-		// singleton recluster if they still fit nowhere.
-		labels, err := shardSample(p.subProblemRange(lo, hi), method, aggOpts, sOpts, seeds[i])
-		if err != nil {
-			outs[i].err = err
-			return
-		}
-		outs[i].reps = shardReps(labels, lo)
-		aggOpts.Progress.Emit(obs.ProgressEvent{
-			Stage: "sample:shards", Done: done.Add(1), Total: int64(shards),
-		})
-	}
-	if workers <= 1 {
-		for i := 0; i < shards; i++ {
-			runShard(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "sample:shards", Worker: strconv.Itoa(i)}, func() {
-					runShard(i)
-				})
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	}
+	rec.Event("sample.shards", "shards", shards, "n", p.n, "auto", t.sOpts.Shards == 0)
 	kSeries := rec.Series("sample.shard.k")
 	var reps []int
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: shard %d/%d: %w", i, shards, outs[i].err)
+	for i, out := range t.outs {
+		if out.err != nil {
+			return nil, fmt.Errorf("core: shard %d/%d: %w", i, shards, out.err)
 		}
-		kSeries.Append(int64(i), float64(len(outs[i].reps)))
-		reps = append(reps, outs[i].reps...) // shard ranges are ordered, so reps stay sorted
+		kSeries.Append(int64(i), float64(len(out.reps)))
+		reps = append(reps, out.reps...) // shards come in row order, so reps stay sorted
 	}
 	rec.Add("sample.shard.reps", int64(len(reps)))
 	rec.Event("sample.shard.reps", "reps", len(reps), "shards", shards)
-	shardSpan.End()
+	t.shardsSpan.End()
 
-	// Aggregate the representatives: exactly when they fit the materialized
-	// core, by a recursive single-level Sample otherwise (same cap as the
-	// singleton recluster).
 	repSpan := rec.Start("sample:reps")
 	repProblem := p.subProblem(reps)
 	var repLabels partition.Labels
 	var err error
 	if len(reps) > reclusterCap {
-		repLabels, err = repProblem.Sample(method, aggOpts, SamplingOptions{
-			Rand:   repRng,
+		repLabels, err = repProblem.Sample(t.method, t.aggOpts, SamplingOptions{
+			Rand:   t.repRng,
 			Shards: 1,
 		})
 	} else {
-		repLabels, err = repProblem.Aggregate(method, withMaterialize(aggOpts))
+		repLabels, err = repProblem.Aggregate(t.method, withMaterialize(t.aggOpts))
 	}
 	repSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return p.finishSample(rec, method, aggOpts, sOpts, repRng, reps, repLabels)
+	return p.finishSample(rec, t.method, t.aggOpts, t.sOpts, t.repRng, reps, repLabels)
+}
+
+// sampleSharded is the in-memory driver of the shard tree: its shards are
+// range views of p (subProblemRange), so a shard costs a Problem header,
+// not a copy of its share of the inputs.
+func (p *Problem) sampleSharded(method Method, aggOpts AggregateOptions, sOpts SamplingOptions, rng *rand.Rand, shards int) (partition.Labels, error) {
+	t := openShardTree(method, aggOpts, sOpts, rng, shards)
+	for i := 0; i < shards; i++ {
+		lo, hi := shardRange(i, p.n, shards, sOpts.Shards == 0)
+		t.add(p.subProblemRange(lo, hi), lo)
+	}
+	return t.finish(p)
 }
 
 // autoSampleSize returns ceil(20·ln n), clamped to [1, n].

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
@@ -426,13 +427,21 @@ func TestSampleShardedValidAndClose(t *testing.T) {
 }
 
 // TestSampleShardedTelemetry pins the sharded tree's observability
-// contract: shard/rep counters, the per-shard cluster-count series in shard
-// order, and the per-level spans.
+// contract on the in-memory driver: shard/rep counters, the per-shard
+// cluster-count series in shard order, the per-level spans with one
+// sample:shard lane per shard, and shard progress ticks whose Total is the
+// shard count.
 func TestSampleShardedTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(433))
 	p, _ := plantedProblem(t, rng, 1200, 3, 5, 0.1)
 	rec := obs.New()
-	labels, err := p.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
+	var events []obs.ProgressEvent
+	progress := obs.NewProgress(func(e obs.ProgressEvent) {
+		if e.Stage == "sample:shards" {
+			events = append(events, e)
+		}
+	}, time.Nanosecond)
+	labels, err := p.Sample(MethodFurthest, AggregateOptions{Progress: progress}, SamplingOptions{
 		SampleSize: 60, Shards: 4, Rand: rand.New(rand.NewSource(19)), Recorder: rec,
 	})
 	if err != nil {
@@ -460,18 +469,23 @@ func TestSampleShardedTelemetry(t *testing.T) {
 	if int64(repSum) != c["sample.shard.reps"] {
 		t.Errorf("sample.shard.k sums to %v, reps counter %d", repSum, c["sample.shard.reps"])
 	}
-	names := map[string]bool{}
-	var walk func([]obs.SpanSnapshot)
-	walk = func(spans []obs.SpanSnapshot) {
-		for _, s := range spans {
-			names[s.Name] = true
-			walk(s.Children)
-		}
-	}
-	walk(rec.Spans())
+	names := spanNames(rec)
 	for _, want := range []string{"sample", "sample:shards", "sample:reps", "sample:assign"} {
 		if !names[want] {
 			t.Errorf("span %q missing (have %v)", want, names)
+		}
+	}
+	if lanes := len(shardLanes(rec)); lanes != 4 {
+		t.Errorf("%d sample:shard lanes, want one per shard (4)", lanes)
+	}
+	// The shard count is known up front, so every tick carries it. The
+	// throttle may drop same-instant ticks, so the count is a lower bound.
+	if len(events) == 0 {
+		t.Fatal("no shard progress events delivered")
+	}
+	for i, e := range events {
+		if e.Done < 1 || e.Done > 4 || e.Total != 4 {
+			t.Errorf("event %d = %d/%d, want Done in [1,4] with Total 4", i, e.Done, e.Total)
 		}
 	}
 }
